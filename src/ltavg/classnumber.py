@@ -16,15 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cache import DiskTable
 from .primes import factorize_slow
 
 _KRON2 = (0, 1, 0, -1, 0, -1, 0, 1)  # (a/2) indexed by a mod 8
 
 _h_memo: dict[int, int] = {}
 _hurwitz_memo: dict[int, Fraction] = {}
-_hurwitz_disk: DiskTable | None = None
-_hurwitz_disk_loaded = False
 
 
 def kronecker(a: int, n: int) -> int:
@@ -113,26 +110,10 @@ def unit_count_w(d: int) -> int:
     return 2
 
 
-def _hurwitz_spill() -> DiskTable:
-    global _hurwitz_disk, _hurwitz_disk_loaded
-    if _hurwitz_disk is None:
-        _hurwitz_disk = DiskTable("hurwitz")
-    if not _hurwitz_disk_loaded:
-        for k, v in _hurwitz_disk.load().items():
-            num, den = v.decode().split("/")
-            _hurwitz_memo[int(k.decode())] = Fraction(int(num), int(den))
-        _hurwitz_disk_loaded = True
-    return _hurwitz_disk
-
-
 def hurwitz_H(D: int) -> Fraction:
     """Hurwitz number H(D) for D < 0, D = 0 or 1 mod 4. Exact."""
     if not is_valid_discriminant(D):
         raise ValueError(f"{D} is not a negative discriminant")
-    got = _hurwitz_memo.get(D)
-    if got is not None:
-        return got
-    disk = _hurwitz_spill()
     got = _hurwitz_memo.get(D)
     if got is not None:
         return got
@@ -143,8 +124,29 @@ def hurwitz_H(D: int) -> Fraction:
             total += Fraction(class_number_h(d), unit_count_w(d))
     val = 2 * total
     _hurwitz_memo[D] = val
-    disk.append(str(D).encode(), f"{val.numerator}/{val.denominator}".encode())
     return val
+
+
+def hurwitz_table(X: int) -> np.ndarray:
+    """T[n] = 6 * H(-n) for 0 <= n <= X, exact, and 0 where n = 1, 2 mod 4.
+
+    One sweep over all reduced forms (a, b, c) with 4ac - b^2 <= X, imprimitive
+    ones included (Cohen, A Course in Computational Algebraic Number Theory,
+    5.3).  For fixed (a, b) the discriminants of (a, b, c), c >= c0, step by
+    4a, so each pair adds 6 to one slice; (a, 0, a) then gives back 3 and
+    (a, a, a) gives back 4, for their weights 1/2 and 1/3.
+    """
+    T = np.zeros(X + 1, dtype=np.int64)
+    a = 1
+    while 3 * a * a <= X:
+        for b in range(1 - a, a + 1):
+            c0 = a if b >= 0 else a + 1  # b < 0 needs |b| < a < c
+            T[4 * a * c0 - b * b :: 4 * a] += 6
+        if 4 * a * a <= X:
+            T[4 * a * a] -= 3
+        T[3 * a * a] -= 4
+        a += 1
+    return T
 
 
 def _square_divisor_roots(n: int) -> list[int]:

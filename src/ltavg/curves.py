@@ -16,9 +16,10 @@ from math import gcd
 import numpy as np
 
 from . import gfpoly
-from .cache import DiskTable, cache_dir
 from .primes import factorize_slow, is_prime
 
+# per-prime tables are kept for the current prime only: runners visit each
+# prime once, in order, and the tables grow with p
 _char_tables: dict[int, np.ndarray] = {}
 
 
@@ -35,6 +36,7 @@ def quadratic_character(p: int) -> np.ndarray:
         v = np.arange(1, (p + 1) // 2, dtype=np.int64)
         half[(v * v) % p] = 1
         tab = np.concatenate([half, half])
+        _char_tables.clear()
         _char_tables[p] = tab
     return tab
 
@@ -44,17 +46,6 @@ def is_singular(a: int, b: int, p: int) -> bool:
 
 
 _trace_memo: dict[tuple[int, int, int], int] = {}
-_trace_spill: DiskTable | None = None
-
-
-def _trace_disk() -> DiskTable:
-    global _trace_spill
-    if _trace_spill is None:
-        _trace_spill = DiskTable("trace")
-        for key, val in _trace_spill.load().items():
-            p, a, b = map(int, key.decode().split(","))
-            _trace_memo[(p, a, b)] = int(val.decode())
-    return _trace_spill
 
 
 def trace_mod_p(a: int, b: int, p: int) -> int:
@@ -78,8 +69,6 @@ def trace_mod_p(a: int, b: int, p: int) -> int:
     vals = (cubic + a * x) % p
     t = -int(chi[vals + b].sum())
     _trace_memo[(p, a, b)] = t
-    if cache_dir() is not None:
-        _trace_disk().append(f"{p},{a},{b}".encode(), str(t).encode())
     return t
 
 
@@ -112,13 +101,14 @@ def trace_matrix(p: int, a_values, b_values):
     return traces, disc % p != 0
 
 
-_trace_grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_trace_grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # current prime only
 
 
 def trace_grid(p: int):
     """Full (p, p) trace table indexed [a, b], with its nonsingular mask."""
     got = _trace_grids.get(p)
     if got is None:
+        _trace_grids.clear()  # free the last grid before building the next
         rng = np.arange(p, dtype=np.int64)
         got = trace_matrix(p, rng, rng)
         _trace_grids[p] = got

@@ -20,19 +20,20 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import curves
-from .classnumber import L1_formula, hurwitz_H
+from .classnumber import hurwitz_table
 from .curves import CurveModel, ReducedCurve, small_field, trace_matrix, trace_mod_p
 from .ltconstant import constant_product, constant_sum, pi_half
 from .numberfield import (
     DegreeFPrime,
     GaloisFieldSpec,
+    admissible_primes,
     degree_f_primes,
     empirical_norm_residues,
     parse_field,
     reduce_element,
     split_primes_up_to,
 )
-from .primes import divisors_from_factors, factorize, sieve_primes, spf_sieve
+from .primes import sieve_primes
 from .report import ExperimentReport, constant_provenance, make_row
 
 DESK_CARDINALITY_BOUND = 10**6
@@ -397,37 +398,10 @@ def _variance_worker(shard):
     return [counts]
 
 
-def _hurwitz_worker(shard):
-    r = _WORK["r"]
-    out = []
-    for p in shard:
-        h = hurwitz_H(r * r - 4 * p)
-        out.append((p, h.numerator, h.denominator * p))
-    return out
-
-
-def _a1_worker(shard):
-    r, spf = _WORK["r"], _WORK["spf"]
-    out = []
-    for p in shard:
-        m = 4 * p - r * r
-        square_part = 1
-        for ell, e in factorize(m, spf).items():
-            square_part *= ell ** (e // 2)
-        logp = math.log(p)
-        for k in sorted(divisors_from_factors(factorize(square_part, spf))):
-            d = -(m // (k * k))
-            if d % 4 in (0, 1):
-                out.append((p, k, L1_formula(d) * logp / k))
-    return out
-
-
 _WORKER_FNS = {
     "box1": _box_prime_worker,
     "boxf": _box_extension_worker,
     "variance": _variance_worker,
-    "hurwitz": _hurwitz_worker,
-    "a1": _a1_worker,
 }
 
 
@@ -496,35 +470,29 @@ def box_variance(field, box: CurveBox, r: int, x, C: float, workers: int = 1) ->
     return float(np.mean(dev * dev))
 
 
-def _hurwitz_parts(field: GaloisFieldSpec, r: int, x: int, workers: int) -> list:
-    items = [p for p, _ in split_primes_up_to(field, x, r)]
-    parts = _map_primes("hurwitz", items, workers, r=r)
-    parts.sort()
-    return parts
+def _hurwitz_parts(field: GaloisFieldSpec, r: int, x: int) -> list:
+    """(p, 6 H(r^2 - 4p), 6p) for each admissible prime p <= x, ascending."""
+    T = hurwitz_table(4 * x)
+    return [(p, int(T[4 * p - r * r]), 6 * p) for p in admissible_primes(field, x, r)]
 
 
 def hurwitz_prime_sum(field, r: int, x, workers: int = 1) -> float:
-    """Exact-rational accumulation of H(r^2-4p)/p over admissible split
-    primes up to x, scaled by half the field degree."""
-    field = _as_field(field)
-    r, x = int(r), int(x)
-    if x < 7:
-        raise ValueError("x must be at least 7")
-    num, den = 0, 1
-    for _, hn, hd in _hurwitz_parts(field, r, x, workers):
-        num = num * hd + hn * den
-        den *= hd
-    return float(Fraction(num, den) * Fraction(field.n_K, 2))
+    """The value at x of hurwitz_sum_report: the sum of H(r^2-4p)/p over
+    admissible split primes up to x, scaled by half the field degree."""
+    return hurwitz_sum_report(field, r, x, workers=workers).rows[-1]["empirical"]
 
 
 def hurwitz_sum_report(field, r: int, x, checkpoints=(), constant=None, workers: int = 1) -> ExperimentReport:
+    """Exact-rational accumulation of H(r^2-4p)/p over admissible split primes
+    up to each checkpoint, scaled by half the field degree.  The sum is one
+    table read per prime, so workers is accepted and ignored."""
     started = time.time()
     field = _as_field(field)
     r, x = int(r), int(x)
     if x < 7:
         raise ValueError("x must be at least 7")
     xs = _merge_checkpoints(x, checkpoints)
-    parts = _hurwitz_parts(field, r, x, workers)
+    parts = _hurwitz_parts(field, r, x)
     if constant is None:
         constant = constant_product(field, r)
     scale = Fraction(field.n_K, 2)
@@ -546,33 +514,36 @@ def hurwitz_sum_report(field, r: int, x, checkpoints=(), constant=None, workers:
     return report.finish(started)
 
 
-def _a1_parts(field: GaloisFieldSpec, r: int, x: int, workers: int) -> list:
-    items = [p for p, _ in split_primes_up_to(field, x, r)]
-    spf = spf_sieve(4 * x + 1)
-    parts = _map_primes("a1", items, workers, r=r, spf=spf)
-    parts.sort()
+def _a1_parts(field: GaloisFieldSpec, r: int, x: int) -> list:
+    """(p, log p * sum over k of L(1, chi_{-m/k^2}) / k) with m = 4p - r^2 and
+    k^2 | m running over the square divisors that leave a discriminant.
+
+    The k-sum telescopes to pi * H(-m) / sqrt(m), read from the Hurwitz table.
+    """
+    T = hurwitz_table(4 * x)
+    parts = []
+    for p in admissible_primes(field, x, r):
+        m = 4 * p - r * r
+        parts.append((p, math.pi * (int(T[m]) / 6) / math.sqrt(m) * math.log(p)))
     return parts
 
 
 def weighted_L_average(field, r: int, x, workers: int = 1) -> float:
-    """The degree-weighted average of L(1, chi) over admissible primes and
-    square divisors of 4p - r^2."""
-    field = _as_field(field)
-    r, x = int(r), int(x)
-    if x < 7:
-        raise ValueError("x must be at least 7")
-    parts = _a1_parts(field, r, x, workers)
-    return field.n_K * math.fsum(term for _, _, term in parts)
+    """The value at x of a1_report: the degree-weighted average of L(1, chi)
+    over admissible primes and square divisors of 4p - r^2."""
+    return a1_report(field, r, x, workers=workers).rows[-1]["empirical"]
 
 
 def a1_report(field, r: int, x, checkpoints=(), constant=None, workers: int = 1) -> ExperimentReport:
+    """The degree-weighted average of L(1, chi) over admissible primes up to
+    each checkpoint and square divisors of 4p - r^2; workers is ignored."""
     started = time.time()
     field = _as_field(field)
     r, x = int(r), int(x)
     if x < 7:
         raise ValueError("x must be at least 7")
     xs = _merge_checkpoints(x, checkpoints)
-    parts = _a1_parts(field, r, x, workers)
+    parts = _a1_parts(field, r, x)
     if constant is None:
         constant = constant_product(field, r)
     rows = []
@@ -580,7 +551,7 @@ def a1_report(field, r: int, x, checkpoints=(), constant=None, workers: int = 1)
     terms = []
     for xc in xs:
         while idx < len(parts) and parts[idx][0] <= xc:
-            terms.append(parts[idx][2])
+            terms.append(parts[idx][1])
             idx += 1
         empirical = field.n_K * math.fsum(terms)
         rows.append(make_row(xc, empirical, (math.pi / 2) * constant.value * xc))
@@ -732,6 +703,7 @@ def deuring_check(p_max: int) -> ExperimentReport:
     started = time.time()
     rows = []
     mismatches = []
+    T = hurwitz_table(4 * max(int(p_max), 0))
     for p in sieve_primes(int(p_max)).tolist():
         if p < 5:
             continue
@@ -740,7 +712,7 @@ def deuring_check(p_max: int) -> ExperimentReport:
         r_max = isqrt(4 * p - 1)
         for r in range(-r_max, r_max + 1):
             mass = curves.isogeny_mass_oracle(p, r)
-            expected = hurwitz_H(r * r - 4 * p) / 2
+            expected = Fraction(int(T[4 * p - r * r]), 12)
             if mass != expected:
                 mismatches.append([p, r])
             mass_total += mass

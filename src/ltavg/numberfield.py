@@ -120,14 +120,15 @@ def B_bound(r: int) -> float:
     return max(5.0, r * r / 4.0)
 
 
-def split_primes_up_to(field: GaloisFieldSpec, x: int, r: int):
-    """Yield (p, roots) for the admissible completely split primes p <= x.
+def admissible_primes(field: GaloisFieldSpec, x: int, r: int) -> list[int]:
+    """The admissible completely split primes p <= x, ascending.
 
     Filters: B(r) < p, p splits completely, p does not divide disc(poly) or
     m_K, and (for n_K >= 2) p does not divide poly(0), the power-basis
     surrogate for the basis-element condition.
     """
     c0 = field.poly[0]
+    out = []
     for p in field.split_primes(x).tolist():
         if 4 * p <= max(20, r * r):
             continue
@@ -135,6 +136,13 @@ def split_primes_up_to(field: GaloisFieldSpec, x: int, r: int):
             continue
         if field.n_K >= 2 and c0 % p == 0:
             continue
+        out.append(p)
+    return out
+
+
+def split_primes_up_to(field: GaloisFieldSpec, x: int, r: int):
+    """Yield (p, roots) for the admissible primes p <= x (see admissible_primes)."""
+    for p in admissible_primes(field, x, r):
         yield p, field.roots_mod(p)
 
 

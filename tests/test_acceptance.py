@@ -31,6 +31,7 @@ from ltavg import (
     theta_K,
     weighted_L_average,
 )
+from ltavg.classnumber import hurwitz_table
 from ltavg.curves import ReducedCurve
 from ltavg.experiments import constant_report, hurwitz_sum_report
 from ltavg.primes import sieve_primes
@@ -94,9 +95,12 @@ def test_criterion_01_deuring_mass_exact():
 def test_criterion_02_class_number_oracle():
     t0 = time.monotonic()
     checked = 0
+    T = hurwitz_table(2000)
     for D in range(-3, -2001, -1):
         if D % 4 in (0, 1):
-            assert hurwitz_H(D) == hurwitz_all_forms(D), D
+            want = hurwitz_all_forms(D)
+            assert hurwitz_H(D) == want, D
+            assert T[-D] == 6 * want, D
             checked += 1
     assert hurwitz_H(-3) == Fraction(1, 3)
     assert hurwitz_H(-4) == Fraction(1, 2)
@@ -168,6 +172,9 @@ def test_criterion_05_two_adic_factor_totality():
 
 
 def test_criterion_06_hurwitz_sum_convergence():
+    # the class-number sum and the weighted L-sum of criterion 7 read the same
+    # Hurwitz table, so together they check the constant, not two
+    # independent routes to it
     t0 = time.monotonic()
     rep = _hurwitz_report()
     by_x = {row["x"]: row["ratio"] for row in rep.rows}
@@ -180,6 +187,8 @@ def test_criterion_06_hurwitz_sum_convergence():
 
 
 def test_criterion_07_weighted_l_sum_convergence():
+    # reads the Hurwitz table of criterion 6 (pi H(-m) / sqrt(m) per prime):
+    # this checks the constant, not a second independent route
     t0 = time.monotonic()
     Q = _field("Q")
     c = _constant_reports()[("Q", 1)].constant["product"]["value"]

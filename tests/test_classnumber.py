@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -22,6 +23,7 @@ from ltavg import (
     kronecker,
     unit_count_w,
 )
+from ltavg.classnumber import hurwitz_table
 
 
 def test_hurwitz_spot_values():
@@ -35,9 +37,37 @@ def test_hurwitz_spot_values():
 
 def test_hurwitz_matches_forms_oracle():
     # the full sweep down to -2000 runs in the acceptance suite
+    T = hurwitz_table(500)
     for D in range(-3, -500, -1):
         if D % 4 in (0, 1):
-            assert hurwitz_H(D) == hurwitz_all_forms(D), D
+            want = hurwitz_all_forms(D)
+            assert hurwitz_H(D) == want, D
+            assert T[-D] == 6 * want, D
+        else:
+            assert T[-D] == 0, D
+
+
+def test_hurwitz_table_spot_values_near_table_end():
+    X = 4 * 10**5
+    T = hurwitz_table(X)
+    assert T.dtype == np.int64 and len(T) == X + 1
+    for n in (X, X - 1, X - 4, X - 13, 399_999, 399_871, 399_563):
+        assert T[n] == 6 * hurwitz_H(-n), n
+
+
+def test_L1_square_divisor_sum_telescopes_to_hurwitz():
+    # sum over k^2 | m, -m/k^2 a discriminant, of L(1, chi_{-m/k^2}) / k
+    # equals pi H(-m) / sqrt(m); the a1 average reads the right-hand side
+    for m in range(3, 3001):
+        if m % 4 not in (0, 3):
+            continue
+        lhs = math.fsum(
+            L1_formula(-(m // (k * k))) / k
+            for k in range(1, math.isqrt(m) + 1)
+            if m % (k * k) == 0 and is_valid_discriminant(-(m // (k * k)))
+        )
+        rhs = math.pi * float(hurwitz_H(-m)) / math.sqrt(m)
+        assert abs(lhs - rhs) <= 1e-12 * rhs, m
 
 
 def test_hurwitz_rejects_non_discriminants():

@@ -23,6 +23,7 @@ from ltavg import (
     theta_K,
     weighted_L_average,
 )
+from ltavg import curves
 from ltavg.curves import ReducedCurve
 from ltavg.experiments import (
     a1_report,
@@ -140,8 +141,9 @@ def test_weighted_L_average_symmetric_in_trace_sign():
 
 
 def test_weighted_L_average_tracks_hurwitz_route():
-    # both routes estimate the same constant once normalized: the weighted
-    # L-sum by (pi/2) x, the class-number sum by the comparison integral
+    # both sums read one Hurwitz table, so this checks the constant that the
+    # two normalizations estimate, the weighted L-sum by (pi/2) x and the
+    # class-number sum by the comparison integral, not two independent routes
     Q = _Q()
     x = 20000
     ra = weighted_L_average(Q, 1, x) / (math.pi / 2 * x)
@@ -313,6 +315,15 @@ def test_constant_report_both_methods():
     for prov in rep.constant.values():
         assert prov["tail_estimate"] > 0
         assert prov["field"] == "Q" and prov["r"] == 1
+
+
+def test_per_prime_memos_hold_the_current_prime_only():
+    deuring_check(60)
+    assert len(curves._trace_grids) <= 1
+    assert len(curves._char_tables) <= 1
+    box_average(_Q(), CurveBox((0,), (3,), (0,), (3,)), 1, 1, 400, workers=1)
+    assert len(curves._trace_grids) <= 1
+    assert len(curves._char_tables) <= 1
 
 
 def test_csv_round_trip():
