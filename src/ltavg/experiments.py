@@ -26,10 +26,10 @@ from .ltconstant import constant_product, constant_sum, pi_half
 from .numberfield import (
     DegreeFPrime,
     GaloisFieldSpec,
+    _as_field,
     admissible_primes,
     degree_f_primes,
     empirical_norm_residues,
-    parse_field,
     reduce_element,
     split_primes_up_to,
 )
@@ -129,12 +129,6 @@ def _parse_vector(text: str) -> tuple:
     if not items:
         raise ValueError("empty vector in box string")
     return tuple(int(t) for t in items)
-
-
-def _as_field(field) -> GaloisFieldSpec:
-    if isinstance(field, GaloisFieldSpec):
-        return field
-    return parse_field(field)
 
 
 def _check_box(field: GaloisFieldSpec, box: CurveBox) -> None:
@@ -476,6 +470,17 @@ def _hurwitz_parts(field: GaloisFieldSpec, r: int, x: int) -> list:
     return [(p, int(T[4 * p - r * r]), 6 * p) for p in admissible_primes(field, x, r)]
 
 
+def _tree_sum(pairs: list) -> tuple[int, int]:
+    """The sum of the fractions num/den in pairs, added pairwise so the
+    operands stay balanced; unreduced."""
+    if not pairs:
+        return 0, 1
+    while len(pairs) > 1:
+        merged = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
+        pairs = merged + pairs[len(merged) * 2 :]
+    return pairs[0]
+
+
 def hurwitz_prime_sum(field, r: int, x, workers: int = 1) -> float:
     """The value at x of hurwitz_sum_report: the sum of H(r^2-4p)/p over
     admissible split primes up to x, scaled by half the field degree."""
@@ -495,16 +500,16 @@ def hurwitz_sum_report(field, r: int, x, checkpoints=(), constant=None, workers:
     parts = _hurwitz_parts(field, r, x)
     if constant is None:
         constant = constant_product(field, r)
-    scale = Fraction(field.n_K, 2)
     rows = []
     num, den, idx = 0, 1, 0
     for xc in xs:
-        while idx < len(parts) and parts[idx][0] <= xc:
-            _, hn, hd = parts[idx]
-            num = num * hd + hn * den
-            den *= hd
-            idx += 1
-        rows.append(make_row(xc, float(Fraction(num, den) * scale), constant.value * pi_half(xc)))
+        end = idx
+        while end < len(parts) and parts[end][0] <= xc:
+            end += 1
+        hn, hd = _tree_sum([(hn, hd) for _, hn, hd in parts[idx:end]])
+        num, den, idx = num * hd + hn * den, den * hd, end
+        # int true division rounds correctly, as float(Fraction) does
+        rows.append(make_row(xc, num * field.n_K / (den * 2), constant.value * pi_half(xc)))
     report = ExperimentReport(
         kind="hurwitz-sum",
         config={"field": field.name, "r": r, "x": x},

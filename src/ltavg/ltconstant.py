@@ -13,7 +13,6 @@ either formula.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,8 +20,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .classnumber import kronecker
-from .numberfield import GaloisFieldSpec, parse_field
-from .primes import factorize_slow, phi_from_factors, phi_sieve, sieve_primes, spf_sieve
+from .numberfield import _as_field
+from .primes import factorize_slow, phi_from_factors, phi_sieve, sieve_primes
 
 
 @dataclass(frozen=True)
@@ -156,12 +155,6 @@ def finite_product_factor(r: int, b: int, m: int) -> Fraction:
     return val
 
 
-def _as_field(field) -> GaloisFieldSpec:
-    if isinstance(field, GaloisFieldSpec):
-        return field
-    return parse_field(field)
-
-
 def constant_product(field, r: int, L_max: int = 100_000) -> ConstantEstimate:
     """Euler-product evaluation, truncating the generic factors at L_max."""
     field = _as_field(field)
@@ -215,212 +208,113 @@ def c_coefficient(k: int, n: int, r: int, b: int, m: int) -> int:
     return total
 
 
-class _SumEngine:
-    """Flat-array tables shared by every (b, k) row of the sum at one N_max.
+_KRON2 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int64)  # (a|2) by a mod 8
 
-    Segment n occupies positions start[n] .. start[n] + n - 1 of each flat
-    array, one slot per residue class alpha, where the admissible residues
-    a mod 4n are a = 4 alpha and a = 4 alpha + 1.
+
+def _c_prime_power(k: int, p: int, e: int, r: int, b: int, m: int) -> int:
+    """c_coefficient(k, p^e, r, b, m), its definition vectorised over a mod 4 p^e."""
+    q = p**e
+    k2 = k * k
+    a = np.arange(4 * q, dtype=np.int64)
+    a = a[a % 4 < 2]
+    x = r * r - a * k2
+    a = a[(np.gcd(x, 4 * q * k2) == 4) & ((x - 4 * b) % (4 * math.gcd(m, q * k2)) == 0)]
+    if p == 2:
+        return int((_KRON2[a % 8] ** e).sum())
+    leg = np.full(p, -1, dtype=np.int64)
+    leg[0] = 0
+    leg[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    return int((leg[a % p] ** e).sum())
+
+
+def _generic_ratio(p: int, e: int, r: int) -> int:
+    """c(k, p^e) / c(k, 1) at an odd prime p that divides neither k nor m.
+
+    By CRT the p-part of c counts a mod p^e with weight (a|p)^e, leaving out
+    the class a = r^2/k^2 mod p, where p would divide r^2 - a k^2.  That class
+    is a nonzero square when p does not divide r, and the class 0 when it does.
     """
-
-    def __init__(self, n_max: int):
-        self.n_max = n_max
-        self.length = n_max * (n_max + 1) // 2
-        n = np.arange(1, n_max + 1, dtype=np.int64)
-        self.starts = np.concatenate([[0], np.cumsum(n)])[:-1]
-        self.spf = spf_sieve(n_max)
-        self.phi = phi_sieve(n_max)
-        self.primes = [int(p) for p in sieve_primes(n_max) if p > 2]
-        self.alpha_parity = np.empty(self.length, dtype=bool)
-        self.n_odd = np.empty(self.length, dtype=bool)
-        for i in range(1, n_max + 1):
-            s = int(self.starts[i - 1])
-            self.alpha_parity[s : s + i] = np.arange(i) & 1
-            self.n_odd[s : s + i] = bool(i & 1)
-        self.tables = (self._build_table(0), self._build_table(1))
-
-    def _build_table(self, s: int) -> np.ndarray:
-        kron2 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
-        leg: dict[int, np.ndarray] = {}
-        for ell in self.primes:
-            t = np.full(ell, -1, dtype=np.int8)
-            t[0] = 0
-            v = np.arange(1, (ell + 1) // 2, dtype=np.int64)
-            t[(v * v) % ell] = 1
-            leg[ell] = t
-        out = np.empty(self.length, dtype=np.int8)
-        out[0] = 1  # every symbol with lower entry 1 is 1
-        for i in range(2, self.n_max + 1):
-            seg = slice(int(self.starts[i - 1]), int(self.starts[i - 1]) + i)
-            a = 4 * np.arange(i, dtype=np.int64) + s
-            ell = int(self.spf[i])
-            q = i // ell
-            top = kron2[a % 8] if ell == 2 else leg[ell][a % ell]
-            if q == 1:
-                out[seg] = top
-            else:
-                prev = out[int(self.starts[q - 1]) : int(self.starts[q - 1]) + q]
-                out[seg] = top * prev[np.arange(i) % q]
-        return out
+    miss = 1 if r % p else 0
+    return p ** (e - 1) * (-miss if e % 2 else p - 1 - miss)
 
 
-_engines: dict[int, _SumEngine] = {}
+def _put_prime(f: np.ndarray, p: int, local) -> None:
+    """Set f[p^e j] = f[j] * local(e) for every j prime to p and e >= 1."""
+    q, e = p, 1
+    while q < len(f):
+        j = np.arange(1, (len(f) - 1) // q + 1)
+        j = j[j % p != 0]
+        f[q * j] = f[j] * local(e)
+        q, e = q * p, e + 1
 
 
-def _engine(n_max: int) -> _SumEngine:
-    eng = _engines.get(n_max)
-    if eng is None:
-        eng = _SumEngine(n_max)
-        _engines[n_max] = eng
-    return eng
+# phi(n) for n <= N_max and the odd primes up to N_max, for the last N_max only
+_engines: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def coefficient_table(k: int, r: int, b: int, m: int, n_max: int) -> np.ndarray:
-    """All c values for n = 1 .. n_max at once; equals c_coefficient pointwise."""
-    eng = _engine(n_max)
-    total = np.zeros(n_max, dtype=np.int64)
-    for s in (0, 1):
-        seg = _branch_sums(eng, k, r, b, m, s)
-        if seg is not None:
-            total += seg
-    return total
+def _tables(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    if n_max not in _engines:
+        _engines.clear()
+        _engines[n_max] = (phi_sieve(n_max), sieve_primes(n_max)[1:])
+    return _engines[n_max]
 
 
-def _branch_sums(eng: _SumEngine, k: int, r: int, b: int, m: int, s: int):
-    """Per-n character sums over the a = 4 alpha + s residue branch."""
-    k2 = k * k
-    for ell in factorize_slow(k):
-        if ell != 2 and r % ell == 0:
-            return None  # gcd(r^2 - a k^2, ...) then shares the odd prime ell
-    # exact-power-of-4 test: on odd n k^2 need 4 | X, on even need X = 4 mod 8
-    x_even_alpha = (r * r - s * k2) % 8
-    x_odd_alpha = (r * r - (s + 4) * k2) % 8
-    pass_odd_nk = (r * r - s * k2) % 4 == 0
-    keep_even_alpha = x_even_alpha == 4
-    keep_odd_alpha = x_odd_alpha == 4
-    odd_k = k % 2 == 1
-    if not (keep_even_alpha or keep_odd_alpha or (odd_k and pass_odd_nk)):
-        return None
-    w = eng.tables[s].astype(np.int16)
-    if odd_k:
-        if not pass_odd_nk:
-            w[eng.n_odd] = 0
-        kill = ~eng.n_odd
-    else:
-        kill = np.ones(eng.length, dtype=bool)
-    if not keep_even_alpha:
-        w[kill & ~eng.alpha_parity] = 0
-    if not keep_odd_alpha:
-        w[kill & eng.alpha_parity] = 0
-    starts = eng.starts
-    r2 = r * r
-    for ell in eng.primes:
-        if k % ell == 0:
-            continue  # the symbol's ell-part is carried by k^2, no constraint
-        inv = pow(k2 % ell, ell - 2, ell)
-        alpha0 = (r2 * inv - s) * pow(4, ell - 2, ell) % ell
-        for n in range(ell, eng.n_max + 1, ell):
-            base = int(starts[n - 1])
-            w[base + alpha0 : base + n : ell] = 0
-    if m > 1:
-        d_s = r2 - s * k2 - 4 * b
-        k2m = k2 % m
-        gtab = [math.gcd(m, rho * k2m % m) for rho in range(m)]
-        soltab: list[tuple[int, int] | None] = []
-        for g in gtab:
-            if g == 1:
-                soltab.append((1, 0))
-            elif d_s % 4 != 0:
-                soltab.append(None)
-            else:
-                d = math.gcd(k2, g)
-                c = (d_s // 4) % g
-                if c % d:
-                    soltab.append(None)
-                else:
-                    g1 = g // d
-                    a1 = (c // d) * pow(k2 // d % g1, -1, g1) % g1 if g1 > 1 else 0
-                    soltab.append((g1, a1))
-        for n in range(1, eng.n_max + 1):
-            sol = soltab[n % m]
-            if sol == (1, 0):
+def _row_sums(r: int, m: int, units, k_max: int, n_max: int) -> dict[tuple[int, int], float]:
+    """The inner n-sums of the series: row (b, k) is sum over n <= n_max of c(k, n) / D(n).
+
+    D(n) = n k phi(m) phi(n k^2) / phi(gcd(n k^2, m)).  Both c(k, n) / c(k, 1)
+    and D(n) / D(1) are multiplicative in n, so a row is c(k, 1)/D(1) times
+    the sum of one multiplicative function.  A row with c(k, 1) = 0 is zero.
+    Each c(k, n) is built as an exact integer by one sieve: the closed form of
+    _generic_ratio at the odd primes not dividing k m, the enumerated
+    definition at p = 2 and at the odd primes dividing k m.  Every term is then
+    an exact integer over an exact integer, summed with math.fsum.
+    """
+    if r * r + 4 * n_max * k_max**2 >= 2**63:
+        raise OverflowError("r^2 - a k^2 with a < 4 N_max must fit in int64")
+    phi, primes = _tables(n_max)
+    generic = np.ones(n_max + 1, dtype=np.int64)
+    for p in primes.tolist():
+        _put_prime(generic, p, lambda e: _generic_ratio(p, e, r))
+    n = np.arange(1, n_max + 1, dtype=np.int64)
+    phi_of = phi_sieve(m)
+    rows = {}
+    for k in range(1, k_max + 1):
+        k2 = k * k
+        phi_nk2 = phi[1:] * k2
+        for ell in factorize_slow(k):
+            away = n % ell != 0
+            phi_nk2[away] = phi_nk2[away] // ell * (ell - 1)
+        denom = n * k * (phi_of[m] * phi_nk2 // phi_of[np.gcd(n * k2, m)])
+        special = [p for p in factorize_slow(k * m) if p > 2]
+        for b in units:
+            c1 = _c_prime_power(k, 2, 0, r, b, m)
+            if c1 == 0:
+                rows[b, k] = 0.0
                 continue
-            base = int(starts[n - 1])
-            if sol is None:
-                w[base : base + n] = 0
-                continue
-            g1, a1 = sol
-            for j in range(g1):
-                if j != a1:
-                    w[base + j : base + n : g1] = 0
-    return np.add.reduceat(w, starts).astype(np.int64)
-
-
-def _row_value(eng: _SumEngine, k: int, r: int, b: int, m: int, phi_m: int, phi_tab: dict[int, int]) -> float:
-    coeffs = np.zeros(eng.n_max, dtype=np.int64)
-    hit = False
-    for s in (0, 1):
-        seg = _branch_sums(eng, k, r, b, m, s)
-        if seg is not None:
-            coeffs += seg
-            hit = True
-    if not hit or not coeffs.any():
-        return 0.0
-    n = np.arange(1, eng.n_max + 1, dtype=np.int64)
-    k2 = k * k
-    phink2 = eng.phi[1 : eng.n_max + 1].astype(np.int64) * k2
-    for ell in factorize_slow(k):
-        away = (n % ell) != 0
-        phink2[away] = phink2[away] // ell * (ell - 1)
-    if m > 1:
-        g = np.gcd(n * (k2 % m) % m, m)
-        phi_div = np.zeros(m + 1, dtype=np.int64)
-        for d, v in phi_tab.items():
-            phi_div[d] = v
-        denom = n * k * (phi_m * phink2 // phi_div[g])
-    else:
-        denom = n * k * phink2
-    return math.fsum((coeffs / denom).tolist())
-
-
-_worker_state: dict = {}
-
-
-def _worker_rows(args):
-    pairs, r = args
-    eng = _worker_state["engine"]
-    m = _worker_state["m"]
-    phi_m = _worker_state["phi_m"]
-    phi_tab = _worker_state["phi_tab"]
-    return [(b, k, _row_value(eng, k, r, b, m, phi_m, phi_tab)) for b, k in pairs]
+            # c(k, 1) is the 2-part at n = 1: every odd part at n = 1 is 1 on a
+            # nonzero row, so c(k, 2^e) is the 2-part itself and c(k, p^e)
+            # is c(k, 1) times the p-part
+            coef = generic.copy()
+            for p in special:
+                _put_prime(coef, p, lambda e: _c_prime_power(k, p, e, r, b, m) // c1)
+            _put_prime(coef, 2, lambda e: _c_prime_power(k, 2, e, r, b, m))
+            coef[1::2] *= c1
+            rows[b, k] = math.fsum((coef[1:] / denom).tolist())
+    return rows
 
 
 def constant_sum(field, r: int, K_max: int = 200, N_max: int = 5000, workers: int = 1) -> ConstantEstimate:
     """Triple-sum evaluation truncated at K_max, N_max.
 
-    The (b, k) rows are independent; each row's inner sum over n is an exact
-    integer character sum divided by exact integer denominators, accumulated
-    with compensated summation, so any worker split returns identical bits.
+    Each (b, k) row is a sum of exact rationals in compensated summation, so
+    the value does not depend on row order; workers is accepted and ignored.
     """
     field = _as_field(field)
     if K_max < 16 or N_max < 16:
         raise ValueError("truncations must be at least 16")
-    m = field.m_K
-    eng = _engine(N_max)
-    phi_m = phi_from_factors(factorize_slow(m))
-    phi_tab = {d: phi_from_factors(factorize_slow(d)) for d in range(1, m + 1) if m % d == 0}
-    pairs = [(b, k) for b in sorted(field.G_mK) for k in range(1, K_max + 1)]
-    if r % 2 == 1:
-        pairs = [(b, k) for b, k in pairs if k % 2 == 1]
-    _worker_state.update(engine=eng, m=m, phi_m=phi_m, phi_tab=phi_tab)
-    if workers <= 1:
-        rows = _worker_rows((pairs, r))
-    else:
-        shards = [(pairs[i::workers], r) for i in range(workers)]
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            rows = [row for chunk in pool.map(_worker_rows, shards) for row in chunk]
-    rows.sort()
-    total = math.fsum(v for _, _, v in rows)
+    rows = _row_sums(r, field.m_K, sorted(field.G_mK), K_max, N_max)
+    total = math.fsum(rows.values())
     value = 2 * field.n_A / math.pi * total
     scale = 2 * field.n_A / math.pi * max(len(field.G_mK), 1)
     tail = scale * (_N_TAIL_COEFF * math.log(N_max) ** 2 / math.sqrt(N_max) + _K_TAIL_COEFF / K_max**2)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import gfpoly
-from .primes import divisors_from_factors, factorize_slow, sieve_primes
+from .primes import divisors_from_factors, factorize_slow, phi_from_factors, sieve_primes
 
 MIN_WITNESSES = 20
 DEFAULT_MAX_MODULUS = 2000
@@ -227,7 +227,7 @@ def abelian_invariants(
         counts = _witness_counts(ps_full, q)
         if counts and min(counts.values()) < MIN_WITNESSES:
             continue
-        phi_q = _phi(q)
+        phi_q = phi_from_factors(factorize_slow(q))
         if phi_q % len(g_full) != 0:
             raise ArithmeticError(f"empirical G_{q} is not subgroup-sized: {sorted(g_full)}")
         best[q] = (phi_q // len(g_full), g_full)
@@ -254,13 +254,6 @@ def _witness_counts(ps: np.ndarray, q: int) -> dict[int, int]:
     ps = ps[np.gcd(ps, q) == 1]
     res, counts = np.unique(ps % q, return_counts=True)
     return {int(a): int(c) for a, c in zip(res, counts)}
-
-
-def _phi(q: int) -> int:
-    v = 1
-    for p, e in factorize_slow(q).items():
-        v *= (p - 1) * p ** (e - 1)
-    return v
 
 
 def _check_galois_degrees(poly, disc, n_probes: int = 100) -> None:
@@ -306,6 +299,12 @@ def parse_field(
             tuple(data["poly"]), name or data.get("name", "field"), p_budget, max_modulus, ov
         )
     return _build_field(tuple(source), name or "field", p_budget, max_modulus, overrides)
+
+
+def _as_field(field) -> GaloisFieldSpec:
+    if isinstance(field, GaloisFieldSpec):
+        return field
+    return parse_field(field)
 
 
 _field_memo: dict[tuple, GaloisFieldSpec] = {}
@@ -364,8 +363,9 @@ def _validate_group(spec: GaloisFieldSpec) -> None:
             for b in G:
                 if (a * b) % m not in G:
                     raise ValueError("G_mK is not closed under multiplication")
-    if spec.n_A * len(G) != _phi(m):
-        raise ValueError(f"n_A * |G_mK| must equal phi(m_K): {spec.n_A}*{len(G)} != {_phi(m)}")
+    phi_m = phi_from_factors(factorize_slow(m))
+    if spec.n_A * len(G) != phi_m:
+        raise ValueError(f"n_A * |G_mK| must equal phi(m_K): {spec.n_A}*{len(G)} != {phi_m}")
 
 
 def _poly_discriminant(poly: tuple[int, ...]) -> int:

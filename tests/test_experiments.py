@@ -26,12 +26,14 @@ from ltavg import (
 from ltavg import curves
 from ltavg.curves import ReducedCurve
 from ltavg.experiments import (
+    _hurwitz_parts,
     a1_report,
     constant_report,
     hurwitz_sum_report,
     theta_report,
 )
-from ltavg.report import ExperimentReport, make_row
+from ltavg.ltconstant import constant_product
+from ltavg.report import ExperimentReport, constant_provenance, make_row
 
 
 def _Q():
@@ -132,6 +134,27 @@ def test_hurwitz_prime_sum_tiny_value_exact():
 def test_hurwitz_prime_sum_rejects_tiny_x():
     with pytest.raises(ValueError):
         hurwitz_prime_sum(_Q(), 1, 5)
+
+
+def test_hurwitz_sum_report_matches_plain_fraction_sum():
+    # the pairwise merge and its integer division against Fraction arithmetic
+    for name in ("Q", "Q_i", "Q_zeta5"):
+        field = parse_field(name)
+        for r in (0, 1, -3):
+            constant = constant_product(field, r, L_max=2000)
+            rep = hurwitz_sum_report(field, r, 4000, checkpoints=(11, 1000, 2777), constant=constant)
+            parts = _hurwitz_parts(field, r, 4000)
+            rows = []
+            for xc in (11, 1000, 2777, 4000):
+                total = sum((Fraction(hn, hd) for p, hn, hd in parts if p <= xc), Fraction(0))
+                rows.append(make_row(xc, float(total * Fraction(field.n_K, 2)), constant.value * pi_half(xc)))
+            want = ExperimentReport(
+                kind="hurwitz-sum",
+                config={"field": name, "r": r, "x": 4000},
+                rows=rows,
+                constant=constant_provenance(constant),
+            )
+            assert rep.body_json() == want.body_json(), (name, r)
 
 
 def test_weighted_L_average_symmetric_in_trace_sign():

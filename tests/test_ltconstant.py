@@ -14,7 +14,9 @@ from ltavg import (
     parse_field,
     pi_half,
 )
-from ltavg.ltconstant import c_coefficient, coefficient_table
+from ltavg import ltconstant
+from ltavg.ltconstant import _generic_ratio, _row_sums, c_coefficient
+from ltavg.primes import factorize_slow, phi_from_factors
 
 
 def test_pi_half_matches_quadrature():
@@ -94,12 +96,66 @@ def test_c_coefficient_small_values():
         assert c_coefficient(4, n, 3, 1, 1) == 0
 
 
-def test_coefficient_table_matches_scalar():
-    # table entry i holds the coefficient at n = i + 1
-    for k in (1, 2, 3):
-        table = coefficient_table(k, 1, 1, 1, 40)
-        for n in range(1, 41):
-            assert table[n - 1] == c_coefficient(k, n, 1, 1, 1)
+def _phi(n):
+    return phi_from_factors(factorize_slow(n))
+
+
+def _units(m):
+    return [b for b in range(1, m + 1) if math.gcd(b, m) == 1]
+
+
+def _brute_row(k, r, b, m, n_max):
+    """Sum over n <= n_max of c(k, n) / D(n) from the enumerated coefficients."""
+    terms = []
+    for n in range(1, n_max + 1):
+        nk2 = n * k * k
+        denom = n * k * _phi(m) * _phi(nk2) // _phi(math.gcd(nk2, m))
+        terms.append(c_coefficient(k, n, r, b, m) / denom)
+    return math.fsum(terms)
+
+
+def test_row_sums_match_enumeration():
+    for r in (0, 1, 2, 3, -3):
+        for m in (1, 3, 4, 5, 12):
+            rows = _row_sums(r, m, _units(m), 6, 80)
+            assert sorted(rows) == sorted((b, k) for b in _units(m) for k in range(1, 7))
+            for (b, k), value in rows.items():
+                assert value == _brute_row(k, r, b, m, 80), (r, m, b, k)
+
+
+def test_generic_ratio_matches_enumeration():
+    # odd p dividing neither k nor m, r prime to p and r divisible by p
+    for k, r, b, m in ((1, 1, 1, 1), (2, 2, 1, 3), (3, 1, 1, 4), (1, 0, 1, 5), (5, 2, 7, 12)):
+        c1 = c_coefficient(k, 1, r, b, m)
+        assert c1 != 0
+        for p in (3, 5, 7, 11, 13, 17, 19, 23):
+            if (k * m) % p == 0:
+                continue
+            e = 1
+            while p**e <= 500:
+                want = Fraction(c_coefficient(k, p**e, r, b, m), c1)
+                assert _generic_ratio(p, e, r) == want, (k, r, b, m, p, e)
+                e += 1
+
+
+def test_row_with_zero_first_coefficient_is_zero():
+    # odd trace with even k; 3 dividing k and r; r^2 not 4b mod 3 with 3 | k
+    for k, r, b, m in ((2, 1, 1, 1), (3, 3, 1, 1), (3, 2, 2, 3), (4, 3, 1, 4)):
+        assert c_coefficient(k, 1, r, b, m) == 0
+        assert all(c_coefficient(k, n, r, b, m) == 0 for n in range(1, 81))
+        assert _row_sums(r, m, [b], k, 80)[b, k] == 0.0
+
+
+def test_sum_tables_hold_the_current_n_max_only():
+    Q = parse_field("Q")
+    constant_sum(Q, 1, K_max=20, N_max=300)
+    constant_sum(Q, 1, K_max=20, N_max=400)
+    assert list(ltconstant._engines) == [400]
+
+
+def test_sum_rejects_int64_overflow():
+    with pytest.raises(OverflowError):
+        _row_sums(1, 1, [1], 2**16, 2**30)
 
 
 def test_constant_sum_symmetric_in_trace_sign():
