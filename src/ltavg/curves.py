@@ -45,31 +45,22 @@ def is_singular(a: int, b: int, p: int) -> bool:
     return (4 * a * a * a + 27 * b * b) % p == 0
 
 
-_trace_memo: dict[tuple[int, int, int], int] = {}
-
-
 def trace_mod_p(a: int, b: int, p: int) -> int:
     """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p, p > 3 prime.
 
     The point count is p + 1 - trace.  Raises ValueError on a singular model.
-    Results are memoized since box sweeps revisit reduced pairs.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("characteristic must be a prime greater than 3")
     a %= p
     b %= p
-    got = _trace_memo.get((p, a, b))
-    if got is not None:
-        return got
     if is_singular(a, b, p):
         raise ValueError(f"singular model a={a} b={b} over F_{p}")
     chi = quadratic_character(p)
     x = np.arange(p, dtype=np.int64)
     cubic = (x * x % p) * x % p
     vals = (cubic + a * x) % p
-    t = -int(chi[vals + b].sum())
-    _trace_memo[(p, a, b)] = t
-    return t
+    return -int(chi[vals + b].sum())
 
 
 def point_count_mod_p(a: int, b: int, p: int) -> int:
@@ -266,11 +257,6 @@ class SmallField:
             return 0
         return int(self.exp[(int(self.log[i]) + int(self.log[j])) % (self.q - 1)])
 
-    def pow_index(self, i: int, e: int) -> int:
-        if i == 0:
-            return 0 if e else 1
-        return int(self.exp[int(self.log[i]) * e % (self.q - 1)])
-
     def _element_order_ok(self, idx: int, factors) -> bool:
         poly = gfpoly.trim(self.index_coeffs(idx))
         if gfpoly.degree(poly) < 0:
@@ -323,6 +309,8 @@ class SmallField:
             raise RuntimeError("generator order check failed")
 
 
+# the current (p, modulus) only: runners visit each residue field in turn,
+# and its tables grow with p^f
 _small_fields: dict[tuple[int, tuple[int, ...]], SmallField] = {}
 
 
@@ -330,6 +318,7 @@ def small_field(p: int, modulus) -> SmallField:
     key = (p, tuple(int(c) % p for c in modulus))
     fld = _small_fields.get(key)
     if fld is None:
+        _small_fields.clear()
         fld = SmallField(p, modulus)
         _small_fields[key] = fld
     return fld
@@ -406,26 +395,43 @@ def field_trace(a, b, field: SmallField) -> int:
     a and b may be ints (prime-field constants) or coefficient sequences in
     the field's modulus basis.  Requires odd characteristic above 3.
     """
+    traces, nonsingular = field_trace_matrix(field, [field.element_index(a)], [field.element_index(b)])
+    if not nonsingular[0, 0]:
+        raise ValueError("singular model over the extension field")
+    return int(traces[0, 0])
+
+
+def field_trace_matrix(field: SmallField, a_indices, b_indices):
+    """Traces over F_q for every pair of element indices, the extension-field
+    form of trace_matrix.
+
+    Returns (traces, nonsingular) where traces[i, j] is the trace of
+    y^2 = x^3 + a*x + b for the elements a = a_indices[i], b = b_indices[j],
+    and nonsingular[i, j] marks the pairs where 4a^3 + 27b^2 != 0 (traces are
+    garbage at singular pairs).  Cost is len(a_indices) * len(b_indices) * q.
+    """
     if field.p <= 3:
         raise ValueError("characteristic must exceed 3")
-    q = field.q
-    ai = field.element_index(a)
-    bi = field.element_index(b)
-    disc = field.add_indices(
-        field.mul_index(4 % field.p, field.pow_index(ai, 3)),
-        field.mul_index(27 % field.p, field.pow_index(bi, 2)),
-    )
-    if int(disc) == 0:
-        raise ValueError("singular model over the extension field")
-    lx = field.log[1:]
+    p, q, log, exp, digits = field.p, field.q, field.log, field.exp, field.digits
+    a_idx = np.asarray(a_indices, dtype=np.int64)
+    b_idx = np.asarray(b_indices, dtype=np.int64)
+    # quadratic character by element index: the parity of the discrete log
+    chi = 1 - 2 * (log & 1)
+    chi[0] = 0
+    lx = log[1:]
     x3 = np.zeros(q, dtype=np.int64)
-    x3[1:] = field.exp[3 * lx % (q - 1)]
-    ax = np.zeros(q, dtype=np.int64)
-    if ai != 0:
-        ax[1:] = field.exp[(int(field.log[ai]) + lx) % (q - 1)]
-    dig = (field.digits[x3] + field.digits[ax] + field.digits[bi]) % field.p
-    s = dig @ field._pvec
-    logs = field.log[s]
-    chi = 1 - 2 * (logs & 1)
-    chi[s == 0] = 0
-    return -int(chi.sum())
+    x3[1:] = exp[3 * lx % (q - 1)]
+    traces = np.empty((len(a_idx), len(b_idx)), dtype=np.int64)
+    for i, ai in enumerate(a_idx.tolist()):
+        ax = np.zeros(q, dtype=np.int64)
+        if ai != 0:
+            ax[1:] = exp[(log[ai] + lx) % (q - 1)]
+        cubic = digits[x3] + digits[ax]
+        for j, bi in enumerate(b_idx.tolist()):
+            s = ((cubic + digits[bi]) % p) @ field._pvec
+            traces[i, j] = -chi[s].sum()
+    # 4 and 27 are prime-field scalars, so they scale the digit vectors
+    cube = np.where(a_idx == 0, 0, exp[3 * log[a_idx] % (q - 1)])
+    square = np.where(b_idx == 0, 0, exp[2 * log[b_idx] % (q - 1)])
+    disc = (4 * digits[cube][:, None, :] + 27 * digits[square][None, :, :]) % p
+    return traces, disc.any(axis=2)

@@ -1,11 +1,21 @@
 """Desk-scale statistics for reductions of curve boxes over a Galois field.
 
-Each runner aggregates per-prime contributions.  Quantities backed by exact
-identities (box counts, class-number sums, reduction counts) are accumulated
-in integer or rational arithmetic; float aggregates use compensated summation
-in a canonical prime order.  The prime loop can be sharded across forked
-worker processes, and results are merged in the same canonical order, so any
-worker count produces an identical report body.
+Every fixed-trace count (box_average, box_variance, pi_E_rf) is one
+reduce-and-match pipeline.  Each side of a box is a matrix with one row of
+power-basis coordinates per model (a single curve is a one-row side).  At
+each prime of degree f the rows are reduced to residues mod p (f = 1) or to
+element indices of F_p[t]/(modulus) (f > 1), and the distinct residues of the
+two sides are matched by one trace table: trace_matrix over F_p, or
+field_trace_matrix over F_{p^f}.  The multiplicities of the distinct residues
+turn the table into box totals or per-model counts, and their bincounts are
+the exact reduction counts at fixed primes.
+
+Quantities backed by exact identities (box counts, class-number sums,
+reduction counts) are accumulated in integer or rational arithmetic; float
+aggregates use compensated summation in a canonical prime order.  The prime
+loop of the box runners can be sharded across forked worker processes, each
+handed its configuration as arguments, and results are merged in canonical
+order, so any worker count produces an identical report body.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 from multiprocessing import get_context
 
@@ -21,7 +32,7 @@ import numpy as np
 
 from . import curves
 from .classnumber import hurwitz_table
-from .curves import CurveModel, ReducedCurve, small_field, trace_matrix, trace_mod_p
+from .curves import CurveModel, ReducedCurve, field_trace_matrix, small_field, trace_matrix
 from .ltconstant import constant_product, constant_sum, pi_half
 from .numberfield import (
     DegreeFPrime,
@@ -30,8 +41,6 @@ from .numberfield import (
     admissible_primes,
     degree_f_primes,
     empirical_norm_residues,
-    reduce_element,
-    split_primes_up_to,
 )
 from .primes import sieve_primes
 from .report import ExperimentReport, constant_provenance, make_row
@@ -151,70 +160,101 @@ def _merge_checkpoints(x: int, checkpoints) -> list[int]:
 # prime-sharded execution
 
 
-_WORK: dict = {}
+def _map_primes(worker, items: list, workers: int, **config) -> list:
+    """Run worker(shard, **config) over items, optionally sharded across forks.
 
-
-def _dispatch(payload):
-    name, shard = payload
-    return _WORKER_FNS[name](shard)
-
-
-def _map_primes(name: str, items: list, workers: int, **config) -> list:
-    """Run a per-prime worker over items, optionally sharded across forks.
-
-    Worker functions read their configuration from the module-level _WORK
-    dict, which forked children inherit; only shards and result lists cross
-    the process boundary.
+    The config travels to each child bound to the worker; the children's
+    result lists are concatenated in shard order, and the runners sort or
+    sum them, so the worker count never changes a result.
     """
-    _WORK.clear()
-    _WORK.update(config)
-    try:
-        if workers <= 1 or len(items) < 2 * workers:
-            return list(_WORKER_FNS[name](items))
-        shards = [items[i::workers] for i in range(workers)]
-        ctx = get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            parts = pool.map(_dispatch, [(name, shard) for shard in shards])
-        merged = []
-        for part in parts:
-            merged.extend(part)
-        return merged
-    finally:
-        _WORK.clear()
+    if workers <= 1 or len(items) < 2 * workers:
+        return list(worker(items, **config))
+    shards = [items[i::workers] for i in range(workers)]
+    with get_context("fork").Pool(processes=workers) as pool:
+        parts = pool.map(partial(worker, **config), shards)
+    return [out for part in parts for out in part]
 
 
 # ---------------------------------------------------------------------------
-# per-curve prime counting
+# reduce and match: the per-prime count of models with trace r
 
 
-def _eval_at_root(coords, root: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coords):
-        acc = (acc * root + c) % p
-    return acc
-
-
-def _good_primes_for_degree(field: GaloisFieldSpec, f: int, x: int) -> list[int]:
-    """Rational primes p with p^f <= x and p coprime to 6*disc."""
+def _rational_primes(field: GaloisFieldSpec, f: int, x: int, r: int) -> list[int]:
+    """The rational primes whose degree-f primes the counts visit, ascending:
+    the admissible split primes up to x for f = 1, else the p with p^f <= x
+    coprime to 6*disc."""
+    if f == 1:
+        return admissible_primes(field, x, r)
     top = int(round(x ** (1.0 / f)))
     while (top + 1) ** f <= x:
         top += 1
     while top > 1 and top**f > x:
         top -= 1
+    return [p for p in sieve_primes(top).tolist() if p > 3 and field.disc % p != 0]
+
+
+def _model_coordinate_matrix(centers, radii) -> np.ndarray:
+    """One row of power-basis coordinates per model on one side of a box."""
+    axes = [np.arange(c - r, c + r + 1, dtype=np.int64) for c, r in zip(centers, radii)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1)
+
+
+def _box_sides(box: CurveBox) -> tuple[np.ndarray, np.ndarray]:
+    return _model_coordinate_matrix(box.a1, box.b1), _model_coordinate_matrix(box.a2, box.b2)
+
+
+def _reduce(coords: np.ndarray, pr: DegreeFPrime) -> np.ndarray:
+    """Each row's element sum_j coords[j] * theta^j at the prime: its residue
+    mod p for f = 1, else its SmallField element index."""
+    p, n = pr.p, coords.shape[1]
+    if n * p * p >= 2**63:
+        raise OverflowError("coordinate reduction needs n_K * p^2 < 2^63")
+    # rows of a single curve may hold integers beyond int64
+    reduced = np.asarray(coords % p, dtype=np.int64)
+    if pr.f == 1:
+        return reduced @ np.array([pow(pr.root, j, p) for j in range(n)], dtype=np.int64) % p
+    fld = small_field(p, pr.modulus)
+    t_powers = fld.digits[[fld.element_index((0,) * j + (1,)) for j in range(n)]]
+    return (reduced @ t_powers % p) @ fld._pvec
+
+
+def _prime_matches(field: GaloisFieldSpec, A: np.ndarray, B: np.ndarray, r: int, p: int, f: int):
+    """For each degree-f prime above p: which pairs of the two sides' distinct
+    residues give a nonsingular model with trace r, and each side's
+    (inverse index, multiplicity) over its distinct residues."""
+    if f == 1:
+        primes = [DegreeFPrime(p, 1, ((-root) % p, 1)) for root in field.roots_mod(p)]
+    else:
+        primes = degree_f_primes(field, p, f)
+    for pr in primes:
+        av, ia, ca = np.unique(_reduce(A, pr), return_inverse=True, return_counts=True)
+        bv, ib, cb = np.unique(_reduce(B, pr), return_inverse=True, return_counts=True)
+        if f == 1:
+            traces, nonsingular = trace_matrix(p, av, bv)
+        else:
+            traces, nonsingular = field_trace_matrix(small_field(p, pr.modulus), av, bv)
+        yield (traces == r) & nonsingular, (ia, ca), (ib, cb)
+
+
+def _count_worker(primes, field, A, B, r, f):
+    """(p, number of models A x B with trace r at the primes above p)."""
     out = []
-    for p in sieve_primes(top).tolist():
-        if p <= 3 or field.disc % p == 0:
-            continue
-        out.append(p)
+    for p in primes:
+        total = 0
+        for match, (_, ca), (_, cb) in _prime_matches(field, A, B, r, p, f):
+            total += int(ca @ match @ cb)
+        out.append((p, total))
     return out
 
 
-def _singular_index(fld, ai: int, bi: int) -> bool:
-    disc = fld.add_indices(
-        fld.mul_index(4 % fld.p, fld.pow_index(ai, 3)),
-        fld.mul_index(27 % fld.p, fld.pow_index(bi, 2)),
-    )
-    return int(disc) == 0
+def _variance_worker(primes, field, A, B, r):
+    """Per-model counts of the degree-1 primes with trace r, as one matrix."""
+    counts = np.zeros((len(A), len(B)), dtype=np.int64)
+    for p in primes:
+        for match, (ia, _), (ib, _) in _prime_matches(field, A, B, r, p, 1):
+            counts += match[ia[:, None], ib[None, :]]
+    return [counts]
 
 
 def pi_E_rf(field, curve: CurveModel, r: int, f: int, x) -> int:
@@ -228,175 +268,9 @@ def pi_E_rf(field, curve: CurveModel, r: int, f: int, x) -> int:
     if len(curve.alpha) != field.n_K:
         raise ValueError(f"curve coordinates must have length {field.n_K}")
     r, f, x = int(r), int(f), int(x)
-    count = 0
-    if f == 1:
-        for p, roots in split_primes_up_to(field, x, r):
-            for root in roots:
-                a = _eval_at_root(curve.alpha, root, p)
-                b = _eval_at_root(curve.beta, root, p)
-                if (4 * a * a * a + 27 * b * b) % p == 0:
-                    continue
-                if trace_mod_p(a, b, p) == r:
-                    count += 1
-        return count
-    for p in _good_primes_for_degree(field, f, x):
-        for pr in degree_f_primes(field, p, f):
-            fld = small_field(p, pr.modulus)
-            ai = fld.element_index(reduce_element(field, curve.alpha, pr))
-            bi = fld.element_index(reduce_element(field, curve.beta, pr))
-            if _singular_index(fld, ai, bi):
-                continue
-            a_coeffs = fld.index_coeffs(ai)
-            b_coeffs = fld.index_coeffs(bi)
-            if curves.field_trace(a_coeffs, b_coeffs, fld) == r:
-                count += 1
-    return count
-
-
-# ---------------------------------------------------------------------------
-# residue multiplicity histograms for one box side
-
-
-def _side_histogram_mod_p(centers, radii, p: int, root: int) -> np.ndarray:
-    """Multiplicity of each residue of the reduced coordinate sum mod p."""
-    hist = None
-    weight = 1
-    for c, rad in zip(centers, radii):
-        vals = (np.arange(c - rad, c + rad + 1, dtype=np.int64) * weight) % p
-        if hist is None:
-            hist = np.bincount(vals, minlength=p).astype(np.int64)
-        else:
-            contrib = np.zeros(p, dtype=np.int64)
-            nz = np.flatnonzero(hist)
-            np.add.at(contrib, (nz[:, None] + vals[None, :]) % p, hist[nz, None])
-            hist = contrib
-        weight = weight * root % p
-    return hist
-
-
-def _side_histogram_ext(centers, radii, fld) -> np.ndarray:
-    """Multiplicity of each residue-field element index over a coordinate box."""
-    t_idx = fld.element_index((0, 1))
-    hist = None
-    w_idx = 1
-    for c, rad in zip(centers, radii):
-        scalars = np.arange(c - rad, c + rad + 1, dtype=np.int64) % fld.p
-        vals = np.array([fld.mul_index(int(s), w_idx) for s in scalars.tolist()], dtype=np.int64)
-        if hist is None:
-            hist = np.bincount(vals, minlength=fld.q).astype(np.int64)
-        else:
-            contrib = np.zeros(fld.q, dtype=np.int64)
-            nz = np.flatnonzero(hist)
-            idx = fld.add_indices(nz[:, None], vals[None, :])
-            np.add.at(contrib, idx, hist[nz, None])
-            hist = contrib
-        w_idx = fld.mul_index(w_idx, t_idx)
-    return hist
-
-
-def _joint_histogram(centers, radii, p1: int, root1: int, p2: int, root2: int) -> np.ndarray:
-    """Joint multiplicity of coordinate-sum residues mod two distinct primes."""
-    hist = None
-    w1 = w2 = 1
-    for c, rad in zip(centers, radii):
-        vals = np.arange(c - rad, c + rad + 1, dtype=np.int64)
-        u = (vals * w1) % p1
-        v = (vals * w2) % p2
-        if hist is None:
-            hist = np.zeros((p1, p2), dtype=np.int64)
-            np.add.at(hist, (u, v), 1)
-        else:
-            contrib = np.zeros((p1, p2), dtype=np.int64)
-            nz1, nz2 = np.nonzero(hist)
-            iu = (nz1[:, None] + u[None, :]) % p1
-            iv = (nz2[:, None] + v[None, :]) % p2
-            np.add.at(contrib, (iu, iv), hist[nz1, nz2][:, None])
-            hist = contrib
-        w1 = w1 * root1 % p1
-        w2 = w2 * root2 % p2
-    return hist
-
-
-def box_prime_count(field, box: CurveBox, r: int, p: int, root: int) -> int:
-    """Models in the box whose reduction at the degree-1 prime (p, root) is
-    nonsingular with trace r, counted with multiplicity."""
-    mult_a = _side_histogram_mod_p(box.a1, box.b1, p, root)
-    mult_b = _side_histogram_mod_p(box.a2, box.b2, p, root)
-    av = np.flatnonzero(mult_a)
-    bv = np.flatnonzero(mult_b)
-    traces, nonsingular = trace_matrix(p, av, bv)
-    match = ((traces == r) & nonsingular).astype(np.int64)
-    return int(mult_a[av] @ match @ mult_b[bv])
-
-
-# ---------------------------------------------------------------------------
-# workers
-
-
-def _box_prime_worker(shard):
-    field, box, r = _WORK["field"], _WORK["box"], _WORK["r"]
-    out = []
-    for p, roots in shard:
-        total = 0
-        for root in roots:
-            total += box_prime_count(field, box, r, p, root)
-        out.append((p, total))
-    return out
-
-
-def _box_extension_worker(shard):
-    field, box, r, f = _WORK["field"], _WORK["box"], _WORK["r"], _WORK["f"]
-    out = []
-    for p in shard:
-        total = 0
-        for pr in degree_f_primes(field, p, f):
-            fld = small_field(p, pr.modulus)
-            mult_a = _side_histogram_ext(box.a1, box.b1, fld)
-            mult_b = _side_histogram_ext(box.a2, box.b2, fld)
-            av = np.flatnonzero(mult_a)
-            bv = np.flatnonzero(mult_b)
-            for ai in av.tolist():
-                for bi in bv.tolist():
-                    if _singular_index(fld, ai, bi):
-                        continue
-                    trace = curves.field_trace(fld.index_coeffs(ai), fld.index_coeffs(bi), fld)
-                    if trace == r:
-                        total += int(mult_a[ai]) * int(mult_b[bi])
-        out.append((p, total))
-    return out
-
-
-def _model_coordinate_matrix(centers, radii) -> np.ndarray:
-    axes = [np.arange(c - r, c + r + 1, dtype=np.int64) for c, r in zip(centers, radii)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
-
-
-def _variance_worker(shard):
-    field, box, r = _WORK["field"], _WORK["box"], _WORK["r"]
-    A = _model_coordinate_matrix(box.a1, box.b1)
-    B = _model_coordinate_matrix(box.a2, box.b2)
-    counts = np.zeros((A.shape[0], B.shape[0]), dtype=np.int64)
-    for p, roots in shard:
-        for root in roots:
-            powers = np.array([pow(root, j, p) for j in range(field.n_K)], dtype=np.int64)
-            a_red = (A @ powers) % p
-            b_red = (B @ powers) % p
-            av = np.unique(a_red)
-            bv = np.unique(b_red)
-            traces, nonsingular = trace_matrix(p, av, bv)
-            match = (traces == r) & nonsingular
-            ra = np.searchsorted(av, a_red)
-            rb = np.searchsorted(bv, b_red)
-            counts += match[ra[:, None], rb[None, :]]
-    return [counts]
-
-
-_WORKER_FNS = {
-    "box1": _box_prime_worker,
-    "boxf": _box_extension_worker,
-    "variance": _variance_worker,
-}
+    A = np.array([curve.alpha], dtype=object)
+    B = np.array([curve.beta], dtype=object)
+    return sum(c for _, c in _count_worker(_rational_primes(field, f, x, r), field, A, B, r, f))
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +285,12 @@ def box_average(field, box: CurveBox, r: int, f: int, x, checkpoints=(), constan
     _check_box(field, box)
     r, f, x = int(r), int(f), int(x)
     xs = _merge_checkpoints(x, checkpoints)
-    if f == 1:
-        items = list(split_primes_up_to(field, x, r))
-        per_prime = _map_primes("box1", items, workers, field=field, box=box, r=r)
-        if constant is None:
-            constant = constant_product(field, r)
-    else:
-        items = _good_primes_for_degree(field, f, x)
-        per_prime = _map_primes("boxf", items, workers, field=field, box=box, r=r, f=f)
+    A, B = _box_sides(box)
+    per_prime = _map_primes(_count_worker, _rational_primes(field, f, x, r), workers, field=field, A=A, B=B, r=r, f=f)
+    if f > 1:
         constant = None
+    elif constant is None:
+        constant = constant_product(field, r)
     per_prime.sort()
     card = box.cardinality
     rows = []
@@ -453,14 +324,9 @@ def box_variance(field, box: CurveBox, r: int, x, C: float, workers: int = 1) ->
     field = _as_field(field)
     _check_box(field, box)
     r, x = int(r), int(x)
-    items = list(split_primes_up_to(field, x, r))
-    parts = _map_primes("variance", items, workers, field=field, box=box, r=r)
-    m1 = math.prod(2 * rad + 1 for rad in box.b1)
-    m2 = math.prod(2 * rad + 1 for rad in box.b2)
-    counts = np.zeros((m1, m2), dtype=np.int64)
-    for mat in parts:
-        counts += mat
-    dev = counts.astype(np.float64) - C * pi_half(x)
+    A, B = _box_sides(box)
+    parts = _map_primes(_variance_worker, admissible_primes(field, x, r), workers, field=field, A=A, B=B, r=r)
+    dev = sum(parts).astype(np.float64) - C * pi_half(x)
     return float(np.mean(dev * dev))
 
 
@@ -481,10 +347,10 @@ def _tree_sum(pairs: list) -> tuple[int, int]:
     return pairs[0]
 
 
-def hurwitz_prime_sum(field, r: int, x, workers: int = 1) -> float:
+def hurwitz_prime_sum(field, r: int, x) -> float:
     """The value at x of hurwitz_sum_report: the sum of H(r^2-4p)/p over
     admissible split primes up to x, scaled by half the field degree."""
-    return hurwitz_sum_report(field, r, x, workers=workers).rows[-1]["empirical"]
+    return hurwitz_sum_report(field, r, x).rows[-1]["empirical"]
 
 
 def hurwitz_sum_report(field, r: int, x, checkpoints=(), constant=None, workers: int = 1) -> ExperimentReport:
@@ -533,10 +399,10 @@ def _a1_parts(field: GaloisFieldSpec, r: int, x: int) -> list:
     return parts
 
 
-def weighted_L_average(field, r: int, x, workers: int = 1) -> float:
+def weighted_L_average(field, r: int, x) -> float:
     """The value at x of a1_report: the degree-weighted average of L(1, chi)
     over admissible primes and square divisors of 4p - r^2."""
-    return a1_report(field, r, x, workers=workers).rows[-1]["empirical"]
+    return a1_report(field, r, x).rows[-1]["empirical"]
 
 
 def a1_report(field, r: int, x, checkpoints=(), constant=None, workers: int = 1) -> ExperimentReport:
@@ -615,8 +481,7 @@ def count_box_reductions(field, box: CurveBox, target: ReducedCurve, prime, root
     pr = _as_degree_one_prime(field, prime, root)
     a0, b0 = _validated_target(field, target, pr)
     p = pr.p
-    mult_a = _side_histogram_mod_p(box.a1, box.b1, p, pr.root)
-    mult_b = _side_histogram_mod_p(box.a2, box.b2, p, pr.root)
+    mult_a, mult_b = (np.bincount(_reduce(side, pr), minlength=p) for side in _box_sides(box))
     exact = 0
     for ua, ub in curves.isomorphism_orbit(a0, b0, p):
         exact += int(mult_a[ua]) * int(mult_b[ub])
@@ -636,8 +501,10 @@ def count_box_reductions_pair(field, box: CurveBox, target1: ReducedCurve, prime
     a1, b1 = _validated_target(field, target1, pr1)
     a2, b2 = _validated_target(field, target2, pr2)
     p1, p2 = pr1.p, pr2.p
-    joint_a = _joint_histogram(box.a1, box.b1, p1, pr1.root, p2, pr2.root)
-    joint_b = _joint_histogram(box.a2, box.b2, p1, pr1.root, p2, pr2.root)
+    joint_a, joint_b = (
+        np.bincount(_reduce(side, pr1) * p2 + _reduce(side, pr2), minlength=p1 * p2).reshape(p1, p2)
+        for side in _box_sides(box)
+    )
     orbit1 = curves.isomorphism_orbit(a1, b1, p1)
     orbit2 = curves.isomorphism_orbit(a2, b2, p2)
     exact = 0
@@ -654,18 +521,13 @@ def count_box_reductions_pair(field, box: CurveBox, target1: ReducedCurve, prime
 # ideal counts in progressions
 
 
-def theta_K(field, q: int, a: int, x, workers: int = 1) -> float:
-    """Log-weighted count of degree-1 primes with norm at most x in the
-    residue class a mod q."""
-    field = _as_field(field)
-    q, a, x = int(q), int(a), int(x)
-    if math.gcd(a, q) != 1:
-        raise ValueError("the residue a must be coprime to q")
-    ps = [p for p in field.split_primes(x).tolist() if p % q == a % q]
-    return field.n_K * math.fsum(math.log(p) for p in sorted(ps))
+def theta_K(field, q: int, a: int, x) -> float:
+    """The value at x of theta_report: the log-weighted count of degree-1
+    primes with norm at most x in the residue class a mod q."""
+    return theta_report(field, q, a, x).rows[-1]["empirical"]
 
 
-def theta_report(field, q: int, a: int, x, checkpoints=(), workers: int = 1) -> ExperimentReport:
+def theta_report(field, q: int, a: int, x, checkpoints=()) -> ExperimentReport:
     started = time.time()
     field = _as_field(field)
     q, a, x = int(q), int(a), int(x)

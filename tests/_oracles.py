@@ -4,9 +4,13 @@ Everything here recomputes a quantity from first principles by a different
 route than the package code, so agreement between the two is meaningful.
 """
 
+import functools
+import itertools
 from fractions import Fraction
 
 import mpmath
+
+from ltavg import gfpoly
 
 
 def hurwitz_all_forms(D):
@@ -83,3 +87,39 @@ def curve_trace_enumerated(a, b, p):
             if (y * y - rhs) % p == 0:
                 count += 1
     return p + 1 - count
+
+
+@functools.lru_cache(maxsize=4)
+def _euler_table(p, modulus):
+    """Each element x of F_p[t]/(modulus) with x^3, and the quadratic
+    character of every nonzero element by Euler's criterion."""
+    f = gfpoly.degree(modulus)
+    half = (p**f - 1) // 2
+    elements = [gfpoly.trim(c) for c in itertools.product(range(p), repeat=f)]
+    cubes = [gfpoly.mulmod(gfpoly.mulmod(x, x, modulus, p), x, modulus, p) for x in elements]
+    chi = {v: 1 if gfpoly.powmod(v, half, modulus, p) == (1,) else -1 for v in elements if v}
+    return list(zip(elements, cubes)), chi
+
+
+def extension_trace_euler(a, b, p, modulus):
+    """Trace of y^2 = x^3 + a*x + b over F_p[t]/(modulus), or None when the
+    model is singular.
+
+    a, b and the monic irreducible modulus are coefficient sequences, lowest
+    degree first.  Each x in the field adds -chi(x^3 + a*x + b), with chi(v)
+    = v^((q-1)/2) by Euler's criterion; only polynomial arithmetic mod p is
+    used, none of the discrete-log tables of SmallField.
+    """
+    modulus = gfpoly.normalize(modulus, p)
+    a = gfpoly.mod(gfpoly.normalize(a, p), modulus, p)
+    b = gfpoly.mod(gfpoly.normalize(b, p), modulus, p)
+    a3 = gfpoly.mulmod(gfpoly.mulmod(a, a, modulus, p), a, modulus, p)
+    b2 = gfpoly.mulmod(b, b, modulus, p)
+    if not gfpoly.add(gfpoly.mul((4,), a3, p), gfpoly.mul((27 % p,), b2, p), p):
+        return None
+    pairs, chi = _euler_table(p, modulus)
+    trace = 0
+    for x, x3 in pairs:
+        rhs = gfpoly.add(gfpoly.add(x3, gfpoly.mulmod(a, x, modulus, p), p), b, p)
+        trace -= chi.get(rhs, 0)
+    return trace

@@ -4,9 +4,11 @@ reduction counting, and report determinism."""
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from _oracles import extension_trace_euler
 from ltavg import (
     CurveBox,
     CurveModel,
@@ -178,11 +180,35 @@ def test_box_average_matches_per_model_enumeration():
     Q = _Q()
     box = CurveBox((0,), (2,), (0,), (2,))
     rep = box_average(Q, box, 1, 1, 300)
+    from ltavg import split_primes_up_to, trace_mod_p
+
     total = 0
-    for a in range(-2, 3):
-        for b in range(-2, 3):
-            total += pi_E_rf(Q, CurveModel((a,), (b,)), 1, 1, 300)
+    for p, _ in split_primes_up_to(Q, 300, 1):
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                if (4 * a**3 + 27 * b**2) % p and trace_mod_p(a, b, p) == 1:
+                    total += 1
     assert rep.rows[-1]["empirical"] == total / box.cardinality
+
+
+def test_box_average_extension_degree_matches_euler_oracle():
+    # Q_i = Q[t]/(t^2 + 1): the inert primes 3 < p <= sqrt(500) are 7, 11
+    # and 19, each with residue field F_p[t]/(t^2 + 1)
+    Qi = parse_field("Q_i")
+    box = CurveBox((1, 0), (1, 1), (3, 0), (1, 1))
+    traces = [
+        extension_trace_euler(alpha, beta, p, (1, 0, 1))
+        for p in (7, 11, 19)
+        for alpha in product(*box.alpha_ranges())
+        for beta in product(*box.beta_ranges())
+    ]
+    nonzero = 0
+    for r in (-8, -4, -1, 0, 2, 4, 10, 13):
+        want = traces.count(r)
+        nonzero += want > 0
+        rep = box_average(Qi, box, r, 2, 500)
+        assert rep.rows[-1]["empirical"] == want / box.cardinality, r
+    assert nonzero >= 6
 
 
 def test_box_average_checkpoint_rows():
@@ -347,6 +373,14 @@ def test_per_prime_memos_hold_the_current_prime_only():
     box_average(_Q(), CurveBox((0,), (3,), (0,), (3,)), 1, 1, 400, workers=1)
     assert len(curves._trace_grids) <= 1
     assert len(curves._char_tables) <= 1
+    # 23 inert primes, one residue field F_{p^2} each
+    box_average(parse_field("Q_i"), CurveBox((1, 0), (1, 1), (3, 0), (1, 1)), 2, 2, 4 * 10**4)
+    assert len(curves._small_fields) <= 1
+    # and no per-model or per-trace memo grows with the primes a count visits
+    pi_E_rf(_Q(), CurveModel((1,), (1,)), 1, 1, 2000)
+    for name, memo in vars(curves).items():
+        if isinstance(memo, dict) and not name.startswith("__"):
+            assert len(memo) <= 1, name
 
 
 def test_csv_round_trip():
