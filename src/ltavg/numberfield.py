@@ -77,7 +77,6 @@ class GaloisFieldSpec:
     overrides_used: bool = False
     _split_bound: int = 0
     _split_list: np.ndarray = dc_field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    _roots_memo: dict = dc_field(default_factory=dict)
 
     def split_primes(self, bound: int) -> np.ndarray:
         """All completely split p <= bound with p not dividing disc (no other filters)."""
@@ -89,11 +88,8 @@ class GaloisFieldSpec:
         return lst[lst <= bound]
 
     def roots_mod(self, p: int) -> tuple[int, ...]:
-        got = self._roots_memo.get(p)
-        if got is None:
-            got = tuple(poly_roots_mod_p(self.poly, p))
-            self._roots_memo[p] = got
-        return got
+        """Distinct roots of poly mod p, ascending."""
+        return tuple(gfpoly.roots(gfpoly.normalize(self.poly, p), p))
 
 
 def _split_primes_raw(poly, n_K, disc, bound) -> np.ndarray:
@@ -110,22 +106,12 @@ def _split_primes_raw(poly, n_K, disc, bound) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def poly_roots_mod_p(poly, p: int) -> list[int]:
-    """Distinct roots of poly mod p, ascending."""
-    return gfpoly.roots(gfpoly.normalize(poly, p), p)
-
-
-def B_bound(r: int) -> float:
-    """Norm floor for admissible primes: max(5, r^2/4)."""
-    return max(5.0, r * r / 4.0)
-
-
 def admissible_primes(field: GaloisFieldSpec, x: int, r: int) -> list[int]:
     """The admissible completely split primes p <= x, ascending.
 
-    Filters: B(r) < p, p splits completely, p does not divide disc(poly) or
-    m_K, and (for n_K >= 2) p does not divide poly(0), the power-basis
-    surrogate for the basis-element condition.
+    Filters: p > max(5, r^2/4), p splits completely, p does not divide
+    disc(poly) or m_K, and (for n_K >= 2) p does not divide poly(0), the
+    power-basis surrogate for the basis-element condition.
     """
     c0 = field.poly[0]
     out = []
@@ -307,6 +293,8 @@ def _as_field(field) -> GaloisFieldSpec:
     return parse_field(field)
 
 
+# Keyed by the parse inputs, so it holds one entry per distinct field a
+# process parses; it does not grow with x.
 _field_memo: dict[tuple, GaloisFieldSpec] = {}
 
 

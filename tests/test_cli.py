@@ -165,3 +165,13 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/2\n"
+
+
+def test_ltavg_does_not_load_scipy():
+    code = (
+        "import sys, ltavg; ltavg.pi_half(10**4); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -381,6 +381,12 @@ def test_per_prime_memos_hold_the_current_prime_only():
     for name, memo in vars(curves).items():
         if isinstance(memo, dict) and not name.startswith("__"):
             assert len(memo) <= 1, name
+    # nor does the field spec keep the roots of the primes a box run visits
+    Q_i = parse_field("Q_i")
+    box_average(Q_i, CurveBox((1, 0), (1, 1), (3, 0), (1, 1)), 1, 1, 2000, workers=1)
+    for name, memo in vars(Q_i).items():
+        if isinstance(memo, dict):
+            assert not memo, name
 
 
 def test_csv_round_trip():
