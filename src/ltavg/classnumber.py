@@ -20,6 +20,9 @@ from .primes import factorize_slow
 
 _KRON2 = (0, 1, 0, -1, 0, -1, 0, 1)  # (a/2) indexed by a mod 8
 
+# each memo is emptied when it reaches _MEMO_LIMIT entries, so a long
+# `classnum --table` run holds at most that many
+_MEMO_LIMIT = 1 << 16
 _h_memo: dict[int, int] = {}
 _hurwitz_memo: dict[int, Fraction] = {}
 
@@ -94,9 +97,7 @@ def class_number_h(d: int) -> int:
     mask &= ~((A == C) & (B < 0))
     Am, Bm, Cm = A[mask], B[mask], C[mask]
     g = np.gcd(np.gcd(Am, np.abs(Bm)), Cm)
-    count = int(np.count_nonzero(g == 1))
-    _h_memo[d] = count
-    return count
+    return _remember(_h_memo, d, int(np.count_nonzero(g == 1)))
 
 
 def unit_count_w(d: int) -> int:
@@ -122,9 +123,7 @@ def hurwitz_H(D: int) -> Fraction:
         d = D // (k * k)
         if d % 4 in (0, 1):
             total += Fraction(class_number_h(d), unit_count_w(d))
-    val = 2 * total
-    _hurwitz_memo[D] = val
-    return val
+    return _remember(_hurwitz_memo, D, 2 * total)
 
 
 def hurwitz_table(X: int) -> np.ndarray:
@@ -147,6 +146,13 @@ def hurwitz_table(X: int) -> np.ndarray:
         T[3 * a * a] -= 4
         a += 1
     return T
+
+
+def _remember(memo: dict, key: int, value):
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _square_divisor_roots(n: int) -> list[int]:

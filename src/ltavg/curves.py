@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -106,18 +106,61 @@ def trace_grid(p: int):
     return got
 
 
+# cells per block of the gather in trace_counts: 512 KB of int64 temporaries
+_BLOCK_CELLS = 1 << 16
+
+
+def trace_counts(p: int) -> np.ndarray:
+    """Number of nonsingular models y^2 = x^3 + a*x + b over F_p of each trace.
+
+    counts[r + R], with R = isqrt(4p - 1), is the number of (a, b) in F_p^2
+    with 4a^3 + 27b^2 != 0 whose curve has trace r; the counts sum to
+    p(p - 1).  Models are counted by j-invariant (Silverman, AEC, X.5):
+    the p - 1 models (0, b) with j = 0 and the p - 1 models (a, 0) with
+    j = 1728 are traced one by one, and every other j has p - 1 models, half
+    of them isomorphic to one curve of trace t and half to its quadratic
+    twist, of trace -t.  The curves y^2 = x^3 + a*x + a with a != 0 and
+    4a + 27 != 0 give each such j once, since j = 1728*4a/(4a + 27) is a
+    bijection there.  That is 3p curves of p character values each: O(p^2).
+    """
+    if p <= 3 or not is_prime(p):
+        raise ValueError("characteristic must be a prime greater than 3")
+    if p >= 2**31:
+        raise OverflowError("a*x overflows int64 for p >= 2^31")
+    R = isqrt(4 * p - 1)
+    size = 2 * R + 1
+    x = np.arange(p, dtype=np.int64)
+    nz = x[1:]
+    j0 = trace_matrix(p, [0], nz)[0][0]
+    # the models (a, 0), then one curve (a, a) per j outside {0, 1728}
+    generic = nz[(4 * nz + 27) % p != 0]
+    a = np.concatenate([nz, generic])
+    b = np.concatenate([np.zeros_like(nz), generic])
+    chi = quadratic_character(p)
+    cubic = (x * x % p) * x % p
+    traces = np.empty(len(a), dtype=np.int64)
+    rows = max(1, min(p, _BLOCK_CELLS // p))
+    for lo in range(0, len(a), rows):
+        ab, bb = a[lo : lo + rows, None], b[lo : lo + rows, None]
+        traces[lo : lo + rows] = -chi[(cubic + ab * x + bb) % p].sum(axis=1, dtype=np.int64)
+    j1728, t = traces[: p - 1], traces[p - 1 :]
+    counts = np.bincount(j0 + R, minlength=size) + np.bincount(j1728 + R, minlength=size)
+    counts += (p - 1) // 2 * (np.bincount(t + R, minlength=size) + np.bincount(R - t, minlength=size))
+    return counts
+
+
 def isogeny_mass_oracle(p: int, r: int) -> Fraction:
     """Mass of the trace-r isogeny classes over F_p: sum of 1/#Aut.
 
     Counting all nonsingular (a, b) models and dividing by p - 1 weighs each
     isomorphism class by the inverse of its automorphism group, since a class
-    with aut size w has (p-1)/w distinct models.
+    with aut size w has (p-1)/w distinct models.  The count is read from
+    trace_counts, which traces one curve per j-invariant and counts its
+    quadratic twist with it: O(p^2) per call.
     """
     if r * r >= 4 * p:
         raise ValueError("trace violates the Hasse bound")
-    traces, nonsing = trace_grid(p)
-    count = int(((traces == r) & nonsing).sum())
-    return Fraction(count, p - 1)
+    return Fraction(int(trace_counts(p)[r + isqrt(4 * p - 1)]), p - 1)
 
 
 def aut_size(a: int, b: int, p: int) -> int:

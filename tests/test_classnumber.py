@@ -23,6 +23,7 @@ from ltavg import (
     kronecker,
     unit_count_w,
 )
+from ltavg import classnumber
 from ltavg.classnumber import hurwitz_table
 
 
@@ -68,6 +69,19 @@ def test_L1_square_divisor_sum_telescopes_to_hurwitz():
         )
         rhs = math.pi * float(hurwitz_H(-m)) / math.sqrt(m)
         assert abs(lhs - rhs) <= 1e-12 * rhs, m
+
+
+def test_memos_stay_within_their_limit(monkeypatch):
+    Ds = [D for D in range(-3, -400, -1) if D % 4 in (0, 1)]
+    want = [hurwitz_H(D) for D in Ds]
+    monkeypatch.setattr(classnumber, "_MEMO_LIMIT", 8)
+    monkeypatch.setattr(classnumber, "_h_memo", {})
+    monkeypatch.setattr(classnumber, "_hurwitz_memo", {})
+    for _ in range(2):
+        for D, value in zip(Ds, want):
+            assert hurwitz_H(D) == value
+            assert len(classnumber._h_memo) <= 8
+            assert len(classnumber._hurwitz_memo) <= 8
 
 
 def test_hurwitz_rejects_non_discriminants():

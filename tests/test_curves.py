@@ -1,5 +1,6 @@
 """Traces of Frobenius over F_p and F_{p^f}, isomorphism orbits, masses."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ from ltavg import (
     trace_mod_p,
     trace_mod_q,
 )
-from ltavg.curves import ReducedCurve
+from ltavg.curves import ReducedCurve, trace_counts, trace_grid
+from ltavg.primes import sieve_primes
 
 
 def test_trace_spot_values():
@@ -83,6 +85,29 @@ def test_isogeny_mass_known_value():
     # p=11, r=2: H(4-44) = H(-40) = 2, so the mass is 1
     assert hurwitz_H(-40) == 2
     assert isogeny_mass_oracle(11, 2) == Fraction(1)
+
+
+def test_trace_counts_match_trace_grid():
+    # the j-invariant count against the full (a, b) grid, model by model
+    for p in sieve_primes(149).tolist():
+        if p < 5:
+            continue
+        R = math.isqrt(4 * p - 1)
+        counts = trace_counts(p)
+        traces, nonsingular = trace_grid(p)
+        assert len(counts) == 2 * R + 1
+        for r in range(-R, R + 1):
+            assert counts[r + R] == ((traces == r) & nonsingular).sum(), (p, r)
+        assert counts.sum() == p * (p - 1)
+
+
+def test_trace_counts_rejects_bad_characteristic():
+    for p in (3, 4, 9):
+        with pytest.raises(ValueError):
+            trace_counts(p)
+    # the smallest prime above 2^31, where a*x would overflow int64
+    with pytest.raises(OverflowError):
+        trace_counts(2147483659)
 
 
 def test_isomorphism_orbit_structure():

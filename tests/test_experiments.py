@@ -310,10 +310,20 @@ def test_theta_report_flags_residue_outside_group():
 # --------------------------------------------------------------- reports
 
 def test_deuring_check_clean():
-    rep = deuring_check(60)
-    assert rep.config["mismatches"] == []
-    for row in rep.rows:
-        assert row["empirical"] == row["theoretical"] == float(row["x"])
+    for p_max in (60, 400):
+        rep = deuring_check(p_max)
+        assert rep.config["mismatches"] == []
+        assert rep.rows
+        for row in rep.rows:
+            assert row["empirical"] == row["theoretical"] == float(row["x"])
+
+
+def test_deuring_check_builds_no_trace_grid(monkeypatch):
+    def no_grid(p):
+        raise AssertionError(f"trace_grid({p}) called")
+
+    monkeypatch.setattr(curves, "trace_grid", no_grid)
+    assert deuring_check(60).config["mismatches"] == []
 
 
 def test_report_row_shape():
