@@ -20,6 +20,7 @@ import mpmath
 import numpy as np
 
 from .classnumber import kronecker
+from .curves import quadratic_character
 from .numberfield import _as_field
 from .primes import factorize_slow, phi_from_factors, phi_sieve, sieve_primes
 
@@ -221,10 +222,8 @@ def _c_prime_power(k: int, p: int, e: int, r: int, b: int, m: int) -> int:
     a = a[(np.gcd(x, 4 * q * k2) == 4) & ((x - 4 * b) % (4 * math.gcd(m, q * k2)) == 0)]
     if p == 2:
         return int((_KRON2[a % 8] ** e).sum())
-    leg = np.full(p, -1, dtype=np.int64)
-    leg[0] = 0
-    leg[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
-    return int((leg[a % p] ** e).sum())
+    # int8 Legendre values; sum() accumulates them in the platform integer
+    return int((quadratic_character(p)[a % p] ** e).sum())
 
 
 def _generic_ratio(p: int, e: int, r: int) -> int:

@@ -5,7 +5,8 @@ root theta generates a Galois extension K/Q of degree n_K. Everything downstream
 works through the power basis 1, theta, ..., theta^(n_K - 1):
 
   * p splits completely  <=>  poly has n_K distinct roots mod p  (tested via
-    x^p = x mod (poly, p); p does not divide disc(poly))
+    x^p = x mod (poly, p); p does not divide disc(poly)).  The test is batched
+    over primes: one square-and-multiply on int64 arrays with a row per prime.
   * a degree-f prime above an unramified p is a degree-f irreducible factor of
     poly mod p; the residue field is F_p[t]/(factor) with theta mapped to t.
 
@@ -96,14 +97,49 @@ def _split_primes_raw(poly, n_K, disc, bound) -> np.ndarray:
     ps = sieve_primes(bound)
     if n_K == 1:
         return ps
-    out = []
-    for p in ps.tolist():
-        if disc % p == 0:
-            continue
-        fp = gfpoly.normalize(poly, p)
-        if gfpoly.x_pow_p_mod(fp, p) == (0, 1):
-            out.append(p)
-    return np.array(out, dtype=np.int64)
+    ps = np.array([p for p in ps.tolist() if disc % p], dtype=np.int64)
+    return ps[_x_pow_p_is_x(poly, ps)]
+
+
+def _x_pow_p_is_x(poly, ps: np.ndarray) -> np.ndarray:
+    """Mask of the primes p in ps with x^p = x mod (poly, p), all p at once.
+
+    Row i of every array holds a residue mod (poly, ps[i]) in the power basis.
+    Requires a monic poly of degree n >= 2 and n * max(ps)^2 < 2^63, so that a
+    column of the schoolbook square fits in int64 before its reduction.
+    """
+    n = len(poly) - 1
+    if len(ps) == 0:
+        return np.zeros(0, dtype=bool)
+    if n * int(ps.max()) ** 2 >= 2**63:
+        raise OverflowError(f"split test needs n * p^2 < 2^63 (n={n}, p={int(ps.max())})")
+    # the coefficients may exceed int64, so reduce them as Python ints
+    low = np.array([[c % p for c in poly[:n]] for p in ps.tolist()], dtype=np.int64)
+    col = ps[:, None]
+
+    def square(f):
+        prod = np.zeros((len(ps), 2 * n - 1), dtype=np.int64)
+        for i in range(n):
+            prod[:, i : i + n] += f[:, i : i + 1] * f
+        prod %= col
+        for k in range(2 * n - 2, n - 1, -1):  # x^k = x^(k-n) * (-low)
+            prod[:, k - n : k] = (prod[:, k - n : k] - prod[:, k : k + 1] * low) % col
+        return prod[:, :n]
+
+    def times_x(f):
+        out = np.empty_like(f)
+        out[:, 0] = 0
+        out[:, 1:] = f[:, :-1]
+        return (out - f[:, -1:] * low) % col
+
+    r = np.zeros((len(ps), n), dtype=np.int64)
+    r[:, 0] = 1
+    for bit in range(int(ps.max()).bit_length() - 1, -1, -1):
+        r = square(r)
+        r = np.where(((ps >> bit) & 1).astype(bool)[:, None], times_x(r), r)
+    x = np.zeros(n, dtype=np.int64)
+    x[1] = 1
+    return (r == x).all(axis=1)
 
 
 def admissible_primes(field: GaloisFieldSpec, x: int, r: int) -> list[int]:
@@ -172,16 +208,15 @@ def empirical_norm_residues(field: GaloisFieldSpec, q: int, p_budget: int) -> fr
         raise ValueError("q must be positive")
     if q == 1:
         return frozenset({1})
-    ps = field.split_primes(p_budget)
-    ps = ps[np.gcd(ps, q) == 1]
-    res, counts = np.unique(ps % q, return_counts=True)
-    if len(res) and counts.min() < MIN_WITNESSES:
+    counts = _residue_counts(field.split_primes(p_budget), q)
+    thinnest = min(counts.values(), default=MIN_WITNESSES)
+    if thinnest < MIN_WITNESSES:
         warnings.warn(
-            f"empirical G_{q}: thinnest residue class has {int(counts.min())} "
+            f"empirical G_{q}: thinnest residue class has {thinnest} "
             f"witnesses (< {MIN_WITNESSES}); increase p_budget",
             stacklevel=2,
         )
-    return frozenset(int(v) for v in res)
+    return frozenset(counts)
 
 
 def abelian_invariants(
@@ -206,12 +241,11 @@ def abelian_invariants(
     half = p_budget // 2
     best: dict[int, tuple[int, frozenset[int]]] = {}
     for q in cands:
-        g_full = _residue_group(ps_full, q)
-        g_half = _residue_group(ps_full[ps_full <= half], q)
-        if g_full != g_half or not g_full:
+        counts = _residue_counts(ps_full, q)
+        g_full = frozenset(counts)
+        if g_full != frozenset(_residue_counts(ps_full[ps_full <= half], q)) or not g_full:
             continue  # unstable under budget doubling
-        counts = _witness_counts(ps_full, q)
-        if counts and min(counts.values()) < MIN_WITNESSES:
+        if min(counts.values()) < MIN_WITNESSES:
             continue
         phi_q = phi_from_factors(factorize_slow(q))
         if phi_q % len(g_full) != 0:
@@ -227,16 +261,10 @@ def abelian_invariants(
     return m_K, n_A, frozenset(best[m_K][1])
 
 
-def _residue_group(ps: np.ndarray, q: int) -> frozenset[int]:
+def _residue_counts(ps: np.ndarray, q: int) -> dict[int, int]:
+    """The p in ps prime to q, counted by residue a mod q (q = 1 has the one class a = 1)."""
     if q == 1:
-        return frozenset({1}) if len(ps) else frozenset()
-    ps = ps[np.gcd(ps, q) == 1]
-    return frozenset(int(v) for v in np.unique(ps % q))
-
-
-def _witness_counts(ps: np.ndarray, q: int) -> dict[int, int]:
-    if q == 1:
-        return {1: len(ps)}
+        return {1: len(ps)} if len(ps) else {}
     ps = ps[np.gcd(ps, q) == 1]
     res, counts = np.unique(ps % q, return_counts=True)
     return {int(a): int(c) for a, c in zip(res, counts)}

@@ -15,7 +15,7 @@ from ltavg import (
     pi_half,
 )
 from ltavg import ltconstant
-from ltavg.ltconstant import _generic_ratio, _row_sums, c_coefficient
+from ltavg.ltconstant import _c_prime_power, _generic_ratio, _row_sums, c_coefficient
 from ltavg.primes import factorize_slow, phi_from_factors
 
 
@@ -122,6 +122,18 @@ def test_row_sums_match_enumeration():
             assert sorted(rows) == sorted((b, k) for b in _units(m) for k in range(1, 7))
             for (b, k), value in rows.items():
                 assert value == _brute_row(k, r, b, m, 80), (r, m, b, k)
+
+
+def test_c_prime_power_matches_enumeration():
+    # odd p reads the shared int8 Legendre table; its sum must stay an exact int
+    for p in (3, 5, 7, 11):
+        for e in range(1, 4):
+            if p**e > 400:
+                break
+            for k, r, b, m in ((1, 1, 1, 1), (2, 0, 1, 3), (3, 3, 1, 4), (1, 2, 2, 5), (5, 1, 5, 12)):
+                got = _c_prime_power(k, p, e, r, b, m)
+                assert type(got) is int
+                assert got == c_coefficient(k, p**e, r, b, m), (k, p, e, r, b, m)
 
 
 def test_generic_ratio_matches_enumeration():

@@ -1,7 +1,9 @@
 """Field presets, split-prime detection, and residue data for primes."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 import sympy
 
@@ -12,6 +14,8 @@ from ltavg import (
     reduce_element,
     split_primes_up_to,
 )
+from ltavg import gfpoly
+from ltavg.numberfield import PRESETS, _x_pow_p_is_x
 
 
 def test_preset_invariants():
@@ -138,3 +142,71 @@ def test_split_prime_cache_grows_consistently():
     assert second[-1] <= 2000
     want = [p for p in sympy.primerange(7, 2001) if p % 3 == 1]
     assert second == want
+
+
+def _scalar_split(poly, disc, ps):
+    """The one-prime split test of gfpoly, the oracle for the batched one."""
+    return [
+        p
+        for p in ps
+        if disc % p and gfpoly.x_pow_p_mod(gfpoly.normalize(poly, p), p) == (0, 1)
+    ]
+
+
+def test_batched_split_test_matches_scalar_oracle():
+    bound = 20_000
+    primes = list(sympy.primerange(2, bound + 1))
+    for name, poly in PRESETS.items():
+        if len(poly) < 3:
+            continue
+        K = parse_field(name)
+        assert K.split_primes(bound).tolist() == _scalar_split(K.poly, K.disc, primes), name
+
+
+def _shifted(poly, c):
+    """Coefficients of poly(x + c): the same field, with large coefficients."""
+    x = sympy.symbols("x")
+    shifted = sympy.Poly(sum(a * (x + c) ** i for i, a in enumerate(poly)), x)
+    return [int(a) for a in reversed(shifted.all_coeffs())]
+
+
+def test_batched_split_test_unreduced_json_coefficients(tmp_path):
+    # Q_zeta5 shifted by x -> x + 10^6 has coefficients near 10^24, which do
+    # not fit in int64 and must be reduced mod p first
+    poly = _shifted(PRESETS["Q_zeta5"], 10**6)
+    assert max(abs(c) for c in poly) > 2**63
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"name": "shifted_zeta5", "poly": poly}))
+    K = parse_field(str(path))
+    Z = parse_field("Q_zeta5")
+    assert (K.disc, K.m_K, K.n_A, K.G_mK) == (Z.disc, Z.m_K, Z.n_A, Z.G_mK)
+    primes = list(sympy.primerange(2, 20_001))
+    want = _scalar_split(K.poly, K.disc, primes)
+    assert K.split_primes(20_000).tolist() == want == Z.split_primes(20_000).tolist()
+
+
+@pytest.mark.parametrize("name", ["Q_zeta5", "S3_x3m2"])
+def test_batched_split_test_at_the_int64_limit(name):
+    # the largest primes with n p^2 < 2^63, against coefficients of full size
+    # mod p, run without overflow
+    poly = _shifted(PRESETS[name], 10**30 + 7)
+    n = len(poly) - 1
+    ps, p = [], math.isqrt((2**63 - 1) // n) + 1
+    while len(ps) < 16:
+        p = sympy.prevprime(p)
+        ps.append(p)
+    assert n * ps[0] ** 2 < 2**63
+    mask = _x_pow_p_is_x(poly, np.array(ps, dtype=np.int64))
+    assert [p for p, keep in zip(ps, mask) if keep] == _scalar_split(poly, 1, ps)
+
+
+def test_batched_split_test_rejects_int64_overflow():
+    # a single prime above the limit n p^2 < 2^63 raises before any work
+    for poly, p in (
+        (PRESETS["Q_zeta5"], 2**31 + 11),
+        (PRESETS["Q_zeta5"], sympy.nextprime(math.isqrt(2**61))),
+        (PRESETS["S3_x3m2"], sympy.nextprime(math.isqrt((2**63 - 1) // 6))),
+    ):
+        assert (len(poly) - 1) * p**2 >= 2**63
+        with pytest.raises(OverflowError):
+            _x_pow_p_is_x(poly, np.array([p], dtype=np.int64))
