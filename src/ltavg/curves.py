@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gfpoly
 from .primes import factorize_slow, is_prime
@@ -67,27 +68,63 @@ def point_count_mod_p(a: int, b: int, p: int) -> int:
     return p + 1 - trace_mod_p(a, b, p)
 
 
+# cells per block of rows in _cubic_blocks: 64 KB per int64 buffer
+_BLOCK_CELLS = 1 << 13
+
+
+def _cubic_blocks(p: int, a: np.ndarray):
+    """Yield (lo, v) for blocks of the reduced values a, where
+    v[k, x] = (x^3 + a[lo + k]*x) mod p for x in F_p.
+
+    v is a view of one int64 buffer of about _BLOCK_CELLS cells that is
+    overwritten at the next step; the caller may change it in place.
+    """
+    x = np.arange(p, dtype=np.int64)
+    cubic = (x * x % p) * x % p
+    rows = max(1, min(len(a), _BLOCK_CELLS // p))
+    buf = np.empty((rows, p), dtype=np.int64)
+    quo = np.empty_like(buf)
+    for lo in range(0, len(a), rows):
+        v, q = buf[: len(a) - lo], quo[: len(a) - lo]
+        np.multiply(a[lo : lo + rows, None], x, out=v)
+        v += cubic
+        # v % p as v - (v // p) * p: numpy divides by a scalar through
+        # libdivide, about four times faster than its remainder
+        np.floor_divide(v, p, out=q)
+        q *= p
+        v -= q
+        yield lo, v
+
+
 def trace_matrix(p: int, a_values, b_values):
     """Traces for every pair from a_values x b_values over F_p.
 
     Returns (traces, nonsingular) where traces[i, j] is the trace of
     y^2 = x^3 + a_values[i]*x + b_values[j] and nonsingular[i, j] marks the
     pairs where that model is an elliptic curve (traces are garbage at
-    singular pairs).  Cost is len(a_values) * len(b_values) * p.
+    singular pairs).
+
+    Each trace -sum_x chi(x^3 + a*x + b) is read as -sum_v N_a(v) chi(v + b),
+    with N_a(v) = #{x in F_p : x^3 + a*x = v}, so the table is -(N @ W) for
+    the (|A|, p) histogram N and the (p, |B|) window W[v, j] = chi(v + b_j).
+    Cost is (|A| + |B|) * p numpy work plus one |A| x p by p x |B| float32
+    product.  That product is exact for p < 2^24: each term is an integer in
+    [-3, 3] and every partial sum is an integer of absolute value at most p.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("characteristic must be a prime greater than 3")
+    if p >= 2**24:
+        raise OverflowError("float32 character sums are exact only for p < 2^24")
     avals = np.asarray(a_values, dtype=np.int64) % p
     bvals = np.asarray(b_values, dtype=np.int64) % p
-    chi = quadratic_character(p)
-    x = np.arange(p, dtype=np.int64)
-    cubic = (x * x % p) * x % p
-    traces = np.empty((len(avals), len(bvals)), dtype=np.int64)
-    bcol = bvals[:, None]
-    for i, a in enumerate(avals):
-        vals = (cubic + int(a) * x) % p
-        # b rows share one gather thanks to the doubled character table
-        traces[i] = -chi[bcol + vals[None, :]].sum(axis=1, dtype=np.int64)
+    hist = np.empty((len(avals), p), dtype=np.float32)
+    for lo, v in _cubic_blocks(p, avals):
+        # row k of the block counts into bins k*p .. k*p + p - 1
+        v += p * np.arange(len(v))[:, None]
+        hist[lo : lo + len(v)] = np.bincount(v.ravel(), minlength=v.size).reshape(v.shape)
+    # the doubled table makes column j the slice chi[b_j : b_j + p]
+    window = sliding_window_view(quadratic_character(p), p)[bvals].astype(np.float32).T
+    traces = -(hist @ window).astype(np.int64)
     disc = (4 * (avals * avals % p) * avals % p)[:, None] + 27 * (bvals * bvals % p)[None, :]
     return traces, disc % p != 0
 
@@ -104,10 +141,6 @@ def trace_grid(p: int):
         got = trace_matrix(p, rng, rng)
         _trace_grids[p] = got
     return got
-
-
-# cells per block of the gather in trace_counts: 512 KB of int64 temporaries
-_BLOCK_CELLS = 1 << 16
 
 
 def trace_counts(p: int) -> np.ndarray:
@@ -129,21 +162,19 @@ def trace_counts(p: int) -> np.ndarray:
         raise OverflowError("a*x overflows int64 for p >= 2^31")
     R = isqrt(4 * p - 1)
     size = 2 * R + 1
-    x = np.arange(p, dtype=np.int64)
-    nz = x[1:]
-    j0 = trace_matrix(p, [0], nz)[0][0]
-    # the models (a, 0), then one curve (a, a) per j outside {0, 1728}
+    nz = np.arange(1, p, dtype=np.int64)
+    zero = np.zeros_like(nz)
+    # the models (0, b) and (a, 0), then one curve (a, a) per j outside {0, 1728}
     generic = nz[(4 * nz + 27) % p != 0]
-    a = np.concatenate([nz, generic])
-    b = np.concatenate([np.zeros_like(nz), generic])
+    a = np.concatenate([zero, nz, generic])
+    b = np.concatenate([nz, zero, generic])
     chi = quadratic_character(p)
-    cubic = (x * x % p) * x % p
     traces = np.empty(len(a), dtype=np.int64)
-    rows = max(1, min(p, _BLOCK_CELLS // p))
-    for lo in range(0, len(a), rows):
-        ab, bb = a[lo : lo + rows, None], b[lo : lo + rows, None]
-        traces[lo : lo + rows] = -chi[(cubic + ab * x + bb) % p].sum(axis=1, dtype=np.int64)
-    j1728, t = traces[: p - 1], traces[p - 1 :]
+    for lo, v in _cubic_blocks(p, a):
+        # v + b < 2p indexes the doubled table
+        v += b[lo : lo + len(v), None]
+        traces[lo : lo + len(v)] = -chi[v].sum(axis=1, dtype=np.int64)
+    j0, j1728, t = traces[: p - 1], traces[p - 1 : 2 * p - 2], traces[2 * p - 2 :]
     counts = np.bincount(j0 + R, minlength=size) + np.bincount(j1728 + R, minlength=size)
     counts += (p - 1) // 2 * (np.bincount(t + R, minlength=size) + np.bincount(R - t, minlength=size))
     return counts

@@ -2,8 +2,10 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from _oracles import curve_trace_enumerated
@@ -22,7 +24,8 @@ from ltavg import (
     trace_mod_p,
     trace_mod_q,
 )
-from ltavg.curves import ReducedCurve, trace_counts, trace_grid
+from ltavg import curves
+from ltavg.curves import ReducedCurve, is_singular, trace_counts, trace_grid, trace_matrix
 from ltavg.primes import sieve_primes
 
 
@@ -38,6 +41,50 @@ def test_trace_matches_enumeration_oracle():
                 if (4 * a**3 + 27 * b**2) % p == 0:
                     continue
                 assert trace_mod_p(a, b, p) == curve_trace_enumerated(a, b, p)
+
+
+def test_trace_matrix_matches_enumeration_oracle():
+    for p in (5, 7, 11, 13):
+        traces, nonsingular = trace_matrix(p, range(p), range(p))
+        for a in range(p):
+            for b in range(p):
+                assert nonsingular[a, b] == (not is_singular(a, b, p))
+                if nonsingular[a, b]:
+                    assert traces[a, b] == curve_trace_enumerated(a, b, p), (p, a, b)
+
+
+def test_trace_matrix_matches_trace_mod_p():
+    # unsorted values with duplicates and negatives; (-3, 2) and (0, 0) are
+    # singular at every p, and |A| = 2 * rows + 1 leaves the last block of
+    # rows partial
+    rng = random.Random(31)
+    for p in (17, 101, 1009, 2003, 2999):
+        rows = max(1, curves._BLOCK_CELLS // p)
+        A = [-3, 0, 5 - p, 10**6 + 3, 5] + [rng.randrange(-2 * p, 2 * p) for _ in range(2 * rows - 4)]
+        B = [2, 0, -1, 2 + p, 7, 7] + [rng.randrange(-2 * p, 2 * p) for _ in range(3)]
+        for a_values, b_values in ((A, B), (A[:1], B), (A, B[-1:])):
+            traces, nonsingular = trace_matrix(p, a_values, b_values)
+            assert traces.dtype == np.int64 and traces.shape == (len(a_values), len(b_values))
+            for i, a in enumerate(a_values):
+                for j, b in enumerate(b_values):
+                    assert nonsingular[i, j] == (not is_singular(a, b, p))
+                    if nonsingular[i, j]:
+                        assert traces[i, j] == trace_mod_p(a, b, p), (p, a, b)
+
+
+def test_trace_matrix_rejects_p_beyond_float32_exactness():
+    for p in (3, 4, 9):
+        with pytest.raises(ValueError):
+            trace_matrix(p, [1], [1])
+    # the smallest prime above 2^24; the guard comes before any table of size p
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError):
+            trace_matrix(16777259, [1], [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_trace_rejects_singular():
