@@ -40,44 +40,36 @@ def _parse_coeffs(text):
     return tuple(int(t) for t in text.replace(",", " ").split() if t)
 
 
-def _emit_report(report, args) -> None:
-    fmt = getattr(args, "format", None)
-    out = getattr(args, "out", None)
-    if fmt is None:
-        fmt = "csv" if (out or "").endswith(".csv") else "json"
-    payload = report.to_csv() if fmt == "csv" else report.to_json() + "\n"
+def _write(payload: str, out) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(payload)
         _progress(f"wrote {out}")
     else:
         sys.stdout.write(payload)
+
+
+def _emit_report(report, args) -> None:
+    fmt = args.format
+    if fmt is None:
+        fmt = "csv" if (args.out or "").endswith(".csv") else "json"
+    _write(report.to_csv() if fmt == "csv" else report.to_json() + "\n", args.out)
 
 
 def _emit_dict(data: dict, args) -> None:
-    payload = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(payload)
-        _progress(f"wrote {out}")
-    else:
-        sys.stdout.write(payload)
+    _write(json.dumps(data, sort_keys=True, indent=2) + "\n", args.out)
 
 
-def _add_common(sub, *, field=True, r=True, x=True, checkpoints=True, workers=True):
-    if field:
-        sub.add_argument("--field", default="Q", help="field preset name or JSON spec path")
-    if r:
-        sub.add_argument("--r", type=int, required=True, help="target trace of Frobenius")
-    if x:
-        sub.add_argument("--x", type=int, required=True, help="norm bound")
-    if checkpoints:
+def _add_common(sub, *, report=True):
+    # report: the subcommand writes an ExperimentReport, with checkpoints and a format
+    sub.add_argument("--field", default="Q", help="field preset name or JSON spec path")
+    sub.add_argument("--r", type=int, required=True, help="target trace of Frobenius")
+    sub.add_argument("--x", type=int, required=True, help="norm bound")
+    if report:
         sub.add_argument("--checkpoints", default="", help="comma-separated intermediate x values")
-    if workers:
-        sub.add_argument("--workers", type=int, default=1)
+        sub.add_argument("--format", choices=("csv", "json"), default=None)
+    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--out", default=None, help="write the report to this path")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--D", type=int, default=None)
     sub.add_argument("--table", nargs=2, type=int, metavar=("DMIN", "DMAX"))
     sub.add_argument("--out", default=None)
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
 
     sub = subs.add_parser("trace", help="trace of Frobenius of one reduced curve")
     sub.add_argument("--p", type=int, required=True)
@@ -121,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--box", required=True, help='box string "a1=(...);b1=(...);a2=(...);b2=(...)"')
 
     sub = subs.add_parser("box-variance", help="mean squared deviation from a fixed multiple of pi_half")
-    _add_common(sub, checkpoints=False)
+    _add_common(sub, report=False)
     sub.add_argument("--box", required=True)
     sub.add_argument("--const", type=float, default=None, help="comparison constant (default: product method)")
 
@@ -173,13 +164,7 @@ def _run_classnum(args) -> int:
         w = unit_count_w(d)
         big = hurwitz_H(d)
         lines.append(f"{d},{h},{w},{big.numerator},{big.denominator}")
-    payload = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-        _progress(f"wrote {args.out}")
-    else:
-        sys.stdout.write(payload)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -1,10 +1,9 @@
 """Point counts and traces of Frobenius for elliptic curves over finite fields.
 
 Curves are short Weierstrass models y^2 = x^3 + a*x + b in characteristic
-at least 5.  Traces over the prime field come from quadratic character sums;
-traces over extension fields come either from discrete-log tables built on an
-explicit modulus polynomial, or, for curves with prime-field coefficients,
-from the standard recurrence on the Frobenius eigenvalues.
+at least 5.  Traces come from quadratic character sums, over F_p or over
+F_p[t]/(modulus) with the character read off the squares, or, for curves
+with prime-field coefficients, from the recurrence on Frobenius eigenvalues.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gfpoly
-from .primes import factorize_slow, is_prime
+from .primes import is_prime
 
 # per-prime tables are kept for the current prime only: runners visit each
 # prime once, in order, and the tables grow with p
@@ -248,44 +247,22 @@ def frobenius_trace_power(trace: int, p: int, f: int) -> int:
     return cur
 
 
-def _mat_pow_mod(mat: np.ndarray, e: int, p: int) -> np.ndarray:
-    result = np.eye(len(mat), dtype=np.int64)
-    base = mat % p
-    while e:
-        if e & 1:
-            result = result @ base % p
-        base = base @ base % p
-        e >>= 1
-    return result
-
-
-def _is_irreducible(poly, p: int) -> bool:
-    f = gfpoly.degree(poly)
-    if f < 1:
-        return False
-    xp = gfpoly.x_pow_p_mod(poly, p)
-    power = xp
-    for _ in range(f - 1):
-        power = gfpoly.powmod(power, p, poly, p)
-    if power != (0, 1):
-        return False
-    for ell in factorize_slow(f):
-        power = xp
-        for _ in range(f // ell - 1):
-            power = gfpoly.powmod(power, p, poly, p)
-        shifted = gfpoly.add(power, (0, p - 1), p)
-        if gfpoly.degree(gfpoly.gcd(poly, shifted, p)) != 0:
-            return False
-    return True
+# rows per block in SmallField.mul, whose int64 temporaries are rows long
+_MUL_ROWS = 1 << 14
 
 
 class SmallField:
-    """F_{p^f} given by a monic irreducible modulus, with discrete log tables.
+    """F_{p^f} = F_p[t]/(modulus) for a monic irreducible modulus.
 
     Elements are encoded as integers in [0, p^f) whose base-p digits are the
-    coefficients of the residue polynomial, constant digit first.  The tables
-    make multiplicative work (powers, character values) a table lookup and
-    keep additive work a digit-wise vector operation.
+    coefficients of the residue polynomial, constant digit first; digits[i]
+    is the digit vector of element i.  Addition is digit-wise mod p, and mul
+    multiplies rows of digit vectors as polynomials, then folds the powers
+    t^m, m < 2f - 1, back in by their digits mod the modulus; in int64 that
+    is exact while f^2 * p^3 < 2^63, which is asserted before any table of
+    size p^f is built.  cubes[i] is the digit vector of x^3 for the element x
+    of index i, and chi[i] its quadratic character, read off the squares x^2:
+    in a field of odd order the nonzero squares are the quadratic residues.
     """
 
     def __init__(self, p: int, modulus):
@@ -295,92 +272,56 @@ class SmallField:
         f = gfpoly.degree(poly)
         if f < 1:
             raise ValueError("modulus must have positive degree")
-        if not _is_irreducible(poly, p):
+        if f * f * p**3 >= 2**63:
+            raise OverflowError("digit products need f^2 * p^3 < 2^63")
+        # [(f, poly)] exactly when no factor of degree <= f/2 divides poly,
+        # squarefree or not
+        if gfpoly.distinct_degree_factor(poly, p) != [(f, poly)]:
             raise ValueError(f"modulus {poly} is reducible over F_{p}")
         self.p = p
         self.f = f
         self.q = p**f
         self.modulus = poly
         self._pvec = p ** np.arange(f, dtype=np.int64)
+        # digit k of t^m mod the modulus, for the 2f - 1 powers a product reaches
+        self._powers = [(list(gfpoly.mod((0,) * m + (1,), poly, p)) + [0] * f)[:f] for m in range(2 * f - 1)]
         self.digits = (np.arange(self.q, dtype=np.int64)[:, None] // self._pvec) % p
-        self.generator = self._find_generator()
-        self._build_tables()
+        squares = self.mul(self.digits, self.digits)
+        self.cubes = self.mul(squares, self.digits)
+        self.chi = np.full(self.q, -1, dtype=np.int8)
+        self.chi[self.index(squares)] = 1
+        self.chi[0] = 0
+        # chi on the grid of digit vectors, doubled along each axis as in
+        # quadratic_character, so that v -> chi(v + b) is one slice
+        self._chi_grid = np.tile(self.chi.reshape((p,) * f), (2,) * f)
 
     def element_index(self, value) -> int:
         """Encode an element given as an int (constant) or coefficient list."""
         if isinstance(value, (int, np.integer)):
-            return int(value) % self.p
-        coeffs = [int(c) % self.p for c in value]
-        if len(coeffs) > self.f:
-            poly = gfpoly.mod(gfpoly.trim(coeffs), self.modulus, self.p)
-            coeffs = list(poly)
-        idx = 0
-        for c in reversed(coeffs):
-            idx = idx * self.p + c
-        return idx
+            value = (value,)
+        coeffs = gfpoly.mod(gfpoly.normalize([int(c) for c in value], self.p), self.modulus, self.p)
+        return sum(c * self.p**k for k, c in enumerate(coeffs))
 
-    def index_coeffs(self, idx: int) -> tuple[int, ...]:
-        return tuple(int(d) for d in self.digits[idx])
+    def index(self, digits: np.ndarray) -> np.ndarray:
+        """Element indices of digit vectors with entries in [0, p)."""
+        return digits @ self._pvec
 
-    def add_indices(self, i, j):
-        dig = (self.digits[i] + self.digits[j]) % self.p
-        return dig @ self._pvec
-
-    def mul_index(self, i: int, j: int) -> int:
-        if i == 0 or j == 0:
-            return 0
-        return int(self.exp[(int(self.log[i]) + int(self.log[j])) % (self.q - 1)])
-
-    def _element_order_ok(self, idx: int, factors) -> bool:
-        poly = gfpoly.trim(self.index_coeffs(idx))
-        if gfpoly.degree(poly) < 0:
-            return False
-        for ell in factors:
-            power = gfpoly.powmod(poly, (self.q - 1) // ell, self.modulus, self.p)
-            if power == (1,):
-                return False
-        return True
-
-    def _find_generator(self) -> int:
-        factors = list(factorize_slow(self.q - 1))
-        for idx in range(2, self.q):
-            if self._element_order_ok(idx, factors):
-                return idx
-        raise RuntimeError("no multiplicative generator found")
-
-    def _mul_matrix(self, idx: int) -> np.ndarray:
-        """Matrix of multiplication by the element idx on digit vectors."""
-        g = gfpoly.trim(self.index_coeffs(idx))
-        cols = []
-        for j in range(self.f):
-            basis = (0,) * j + (1,)
-            prod = gfpoly.mulmod(g, basis, self.modulus, self.p)
-            cols.append(list(prod) + [0] * (self.f - len(prod)))
-        return np.array(cols, dtype=np.int64).T
-
-    def _build_tables(self):
-        p, f, q = self.p, self.f, self.q
-        block = min(q - 1, 2048)
-        mat_g = self._mul_matrix(self.generator)
-        dig = np.empty((block, f), dtype=np.int64)
-        dig[0, 0] = 1
-        dig[0, 1:] = 0
-        for i in range(1, block):
-            dig[i] = mat_g @ dig[i - 1] % p
-        chunks = [dig]
-        # jump a whole block at a time with the matrix of g**block
-        mat_jump = _mat_pow_mod(mat_g, block, p)
-        total = block
-        while total < q - 1:
-            nxt = chunks[-1] @ mat_jump.T % p
-            chunks.append(nxt)
-            total += len(nxt)
-        dig_all = np.concatenate(chunks)[: q - 1]
-        self.exp = dig_all @ self._pvec
-        self.log = np.full(q, -1, dtype=np.int64)
-        self.log[self.exp] = np.arange(q - 1, dtype=np.int64)
-        if int((self.log[1:] < 0).sum()) != 0:
-            raise RuntimeError("generator order check failed")
+    def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Digit vectors of the products of the rows of u and v, which hold
+        digits in [0, p) and broadcast against each other row-wise."""
+        u, v = np.broadcast_arrays(u, v)
+        f, p = self.f, self.p
+        out = np.empty(u.shape, dtype=np.int64)
+        for lo in range(0, len(u), _MUL_ROWS):
+            ub, vb = u[lo : lo + _MUL_ROWS].T, v[lo : lo + _MUL_ROWS].T
+            # c[m]: the coefficient of t^m in the product polynomial
+            c = [sum(ub[i] * vb[m - i] for i in range(max(0, m - f + 1), min(m, f - 1) + 1))
+                 for m in range(2 * f - 1)]
+            for k in range(f):
+                # f^2 terms, each below p^2 * p
+                acc = sum(c[m] * self._powers[m][k] for m in range(2 * f - 1) if self._powers[m][k])
+                out[lo : lo + _MUL_ROWS, k] = acc - acc // p * p
+        return out
 
 
 # the current (p, modulus) only: runners visit each residue field in turn,
@@ -475,6 +416,10 @@ def field_trace(a, b, field: SmallField) -> int:
     return int(traces[0, 0])
 
 
+# int64 cells per block of histogram rows in field_trace_matrix: 2 MB
+_FIELD_BLOCK_CELLS = 1 << 18
+
+
 def field_trace_matrix(field: SmallField, a_indices, b_indices):
     """Traces over F_q for every pair of element indices, the extension-field
     form of trace_matrix.
@@ -482,30 +427,36 @@ def field_trace_matrix(field: SmallField, a_indices, b_indices):
     Returns (traces, nonsingular) where traces[i, j] is the trace of
     y^2 = x^3 + a*x + b for the elements a = a_indices[i], b = b_indices[j],
     and nonsingular[i, j] marks the pairs where 4a^3 + 27b^2 != 0 (traces are
-    garbage at singular pairs).  Cost is len(a_indices) * len(b_indices) * q.
+    garbage at singular pairs).
+
+    As in trace_matrix, each trace is -sum_v N_a(v) chi(v + b), with N_a(v)
+    = #{x in F_q : x^3 + a*x = v}.  The histograms N_a are built for blocks
+    of about _FIELD_BLOCK_CELLS / q values of a, and each block is multiplied
+    by the window chi(v + b) of one b at a time.  Cost is |A| * q * f^2 for
+    the histograms, |B| * q per block of a for the windows, and |A| * |B| * q
+    int64 multiply-adds.  All of it is exact: the field's products need
+    f^2 * p^3 < 2^63, and each character sum is at most q in absolute value.
     """
     if field.p <= 3:
         raise ValueError("characteristic must exceed 3")
-    p, q, log, exp, digits = field.p, field.q, field.log, field.exp, field.digits
-    a_idx = np.asarray(a_indices, dtype=np.int64)
-    b_idx = np.asarray(b_indices, dtype=np.int64)
-    # quadratic character by element index: the parity of the discrete log
-    chi = 1 - 2 * (log & 1)
-    chi[0] = 0
-    lx = log[1:]
-    x3 = np.zeros(q, dtype=np.int64)
-    x3[1:] = exp[3 * lx % (q - 1)]
-    traces = np.empty((len(a_idx), len(b_idx)), dtype=np.int64)
-    for i, ai in enumerate(a_idx.tolist()):
-        ax = np.zeros(q, dtype=np.int64)
-        if ai != 0:
-            ax[1:] = exp[(log[ai] + lx) % (q - 1)]
-        cubic = digits[x3] + digits[ax]
-        for j, bi in enumerate(b_idx.tolist()):
-            s = ((cubic + digits[bi]) % p) @ field._pvec
-            traces[i, j] = -chi[s].sum()
+    p, q, f, digits = field.p, field.q, field.f, field.digits
+    ad = digits[np.asarray(a_indices, dtype=np.int64)]
+    bd = digits[np.asarray(b_indices, dtype=np.int64)]
+    traces = np.empty((len(ad), len(bd)), dtype=np.int64)
+    # a*x is linear in the digits of x: row j of ax[i] is a_i * t^j
+    ax = field.mul(np.repeat(ad, f, axis=0), np.tile(np.eye(f, dtype=np.int64), (len(ad), 1))).reshape(-1, f, f)
+    rows = max(1, min(len(ad), _FIELD_BLOCK_CELLS // q))
+    buf = np.empty((rows, q), dtype=np.int64)
+    for lo in range(0, len(ad), rows):
+        hist = buf[: len(ad) - lo]
+        for k, a_times in enumerate(ax[lo : lo + rows]):
+            cubic = (field.cubes + digits @ a_times) % p
+            hist[k] = np.bincount(field.index(cubic), minlength=q)
+        for j, b in enumerate(bd):
+            window = field._chi_grid[tuple(slice(d, d + p) for d in b[::-1])]
+            traces[lo : lo + rows, j] = -(hist @ window.astype(np.int64).reshape(q))
     # 4 and 27 are prime-field scalars, so they scale the digit vectors
-    cube = np.where(a_idx == 0, 0, exp[3 * log[a_idx] % (q - 1)])
-    square = np.where(b_idx == 0, 0, exp[2 * log[b_idx] % (q - 1)])
-    disc = (4 * digits[cube][:, None, :] + 27 * digits[square][None, :, :]) % p
+    cube = field.mul(field.mul(ad, ad), ad)
+    square = field.mul(bd, bd)
+    disc = (4 * cube[:, None, :] + 27 * square[None, :, :]) % p
     return traces, disc.any(axis=2)

@@ -108,7 +108,7 @@ def extension_trace_euler(a, b, p, modulus):
     a, b and the monic irreducible modulus are coefficient sequences, lowest
     degree first.  Each x in the field adds -chi(x^3 + a*x + b), with chi(v)
     = v^((q-1)/2) by Euler's criterion; only polynomial arithmetic mod p is
-    used, none of the discrete-log tables of SmallField.
+    used, none of SmallField's digit arrays or its table of squares.
     """
     modulus = gfpoly.normalize(modulus, p)
     a = gfpoly.mod(gfpoly.normalize(a, p), modulus, p)
@@ -123,3 +123,31 @@ def extension_trace_euler(a, b, p, modulus):
         rhs = gfpoly.add(gfpoly.add(x3, gfpoly.mulmod(a, x, modulus, p), p), b, p)
         trace -= chi.get(rhs, 0)
     return trace
+
+
+def extension_trace_table(p, modulus):
+    """(elements, traces) with traces[i][j] = extension_trace_euler(
+    elements[i], elements[j], p, modulus) for every pair of field elements.
+
+    The same sums as extension_trace_euler, with x^3 + a*x computed once per
+    a and each addition v + b read from a table of polynomial sums.
+    """
+    modulus = gfpoly.normalize(modulus, p)
+    pairs, chi = _euler_table(p, modulus)
+    elements = [x for x, _ in pairs]
+    pos = {x: i for i, x in enumerate(elements)}
+    chi_of = [chi.get(x, 0) for x in elements]
+    plus = [[pos[gfpoly.add(u, v, p)] for v in elements] for u in elements]
+    squares = [gfpoly.mulmod(b, b, modulus, p) for b in elements]
+    traces = []
+    for a in elements:
+        a3 = gfpoly.mulmod(gfpoly.mulmod(a, a, modulus, p), a, modulus, p)
+        rhs = [plus[pos[x3]][pos[gfpoly.mulmod(a, x, modulus, p)]] for x, x3 in pairs]
+        row = []
+        for jb, b2 in enumerate(squares):
+            if not gfpoly.add(gfpoly.mul((4,), a3, p), gfpoly.mul((27 % p,), b2, p), p):
+                row.append(None)
+            else:
+                row.append(-sum(chi_of[plus[v][jb]] for v in rhs))
+        traces.append(row)
+    return elements, traces

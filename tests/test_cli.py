@@ -73,6 +73,18 @@ def test_unknown_subcommand_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["classnum", "--D", "-23", "--format", "csv"],
+    ["classnum", "--table", "-12", "-3", "--format", "json"],
+    ["box-variance", "--r", "1", "--x", "100", "--box", "a1=(0);b1=(1);a2=(0);b2=(1)", "--format", "csv"],
+])
+def test_format_rejected_where_output_has_one_form(argv):
+    # classnum and box-variance write one fixed form, so --format is a usage error
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+
+
 def test_count_reductions_line(capsys):
     code, out, _ = run(
         capsys, "count-reductions", "--a", "2", "--b", "4", "--p", "11",

@@ -1,5 +1,7 @@
 """Traces of Frobenius over F_p and F_{p^f}, isomorphism orbits, masses."""
 
+import functools
+import itertools
 import math
 import random
 import tracemalloc
@@ -8,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import curve_trace_enumerated
+from _oracles import _euler_table, curve_trace_enumerated, extension_trace_euler, extension_trace_table
 from ltavg import (
     CurveModel,
     aut_size,
@@ -24,8 +26,8 @@ from ltavg import (
     trace_mod_p,
     trace_mod_q,
 )
-from ltavg import curves
-from ltavg.curves import ReducedCurve, is_singular, trace_counts, trace_grid, trace_matrix
+from ltavg import curves, gfpoly
+from ltavg.curves import ReducedCurve, field_trace_matrix, is_singular, trace_counts, trace_grid, trace_matrix
 from ltavg.primes import sieve_primes
 
 
@@ -220,22 +222,98 @@ def test_frobenius_trace_power_recurrence():
                 assert frobenius_trace_power(t, p, f) == seq[-1]
 
 
-def test_small_field_arithmetic():
-    F = small_field(3, (1, 0, 1))  # F_9 as F_3[i]
-    assert F.q == 9
-    # the multiplicative group is cyclic of order 8
-    seen = set()
-    cur = F.generator
-    for _ in range(8):
-        seen.add(cur)
-        cur = F.mul_index(cur, F.generator)
-    assert len(seen) == 8
-    # distributivity on indices through the coefficient maps
-    for i in range(9):
-        for j in range(9):
-            left = F.digits[F.add_indices(i, j)]
-            right = (F.digits[i] + F.digits[j]) % 3
-            assert (left == right).all()
+# F_49, F_121, F_125 and F_625
+_EXTENSION_FIELDS = [(7, (1, 0, 1)), (11, (1, 0, 1)), (5, (1, 0, 1, 1)), (5, (1, 0, 1, 1, 1))]
+
+
+@pytest.mark.parametrize("p, modulus", _EXTENSION_FIELDS)
+def test_small_field_mul_and_character(p, modulus):
+    F = small_field(p, modulus)
+    polys = [gfpoly.trim(c) for c in itertools.product(range(p), repeat=F.f)]
+    idx = np.array([F.element_index(c) for c in polys], dtype=np.int64)
+    assert sorted(idx.tolist()) == list(range(F.q))
+    n = len(polys)
+    if n * n <= 20000:
+        i, j = np.divmod(np.arange(n * n), n)
+    else:
+        rng = np.random.default_rng(37)
+        i, j = rng.integers(0, n, 20000), rng.integers(0, n, 20000)
+    got = F.mul(F.digits[idx[i]], F.digits[idx[j]])
+    for row, a, b in zip(got.tolist(), i.tolist(), j.tolist()):
+        assert gfpoly.trim(row) == gfpoly.mulmod(polys[a], polys[b], modulus, p)
+    _, chi = _euler_table(p, modulus)
+    assert F.chi[idx].tolist() == [chi.get(x, 0) for x in polys]
+
+
+def test_small_field_accepts_exactly_the_irreducible_moduli():
+    # Gauss: (1/d) sum_{k | d} mu(d/k) p^k monic irreducibles of degree d
+    mu = {1: 1, 2: -1, 3: -1, 4: 0}
+    for p in (5, 7):
+        for d in range(1, 5):
+            accepted = 0
+            for low in itertools.product(range(p), repeat=d):
+                try:
+                    curves.SmallField(p, low + (1,))
+                except ValueError:
+                    continue
+                accepted += 1
+            assert accepted == sum(mu[d // k] * p**k for k in range(1, d + 1) if d % k == 0) // d, (p, d)
+
+
+def test_small_field_rejects_p_beyond_int64_products():
+    # the smallest primes with f^2 * p^3 >= 2^63 at f = 1 and f = 2; the guard
+    # comes before any array of size q
+    tracemalloc.start()
+    try:
+        for p, modulus in ((2097169, (0, 1)), (1321139, (1, 0, 1))):
+            with pytest.raises(OverflowError):
+                curves.SmallField(p, modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _check_field_traces(F, A, B, want):
+    """field_trace_matrix on A x B, and on its first row and first column,
+    against want(a, b): the oracle trace, or None for a singular model."""
+    for a_idx, b_idx in ((A, B), (A[:1], B), (A, B[:1])):
+        traces, nonsingular = field_trace_matrix(F, a_idx, b_idx)
+        assert traces.dtype == np.int64 and traces.shape == (len(a_idx), len(b_idx))
+        for i, a in enumerate(a_idx):
+            for j, b in enumerate(b_idx):
+                t = want(a, b)
+                assert nonsingular[i, j] == (t is not None), (a, b)
+                if t is not None:
+                    assert traces[i, j] == t, (a, b)
+
+
+@pytest.mark.parametrize("p, modulus", [(7, (1, 0, 1)), (5, (1, 0, 1, 1))])
+def test_field_trace_matrix_every_pair(p, modulus, monkeypatch):
+    F = small_field(p, modulus)
+    elements, table = extension_trace_table(p, modulus)
+    where = {F.element_index(x): k for k, x in enumerate(elements)}
+    order = list(range(F.q))
+    random.Random(p).shuffle(order)
+    A = order + [0, order[0]]
+    B = order[::-1] + [order[5], 0]
+    # 7 rows per histogram block, the last one partial
+    monkeypatch.setattr(curves, "_FIELD_BLOCK_CELLS", 7 * F.q)
+    _check_field_traces(F, A, B, lambda a, b: table[where[a]][where[b]])
+
+
+# F_343, where -1 is a non-square, and F_625
+@pytest.mark.parametrize("p, modulus", [(7, (1, 0, 1, 1)), (5, (1, 0, 1, 1, 1))])
+def test_field_trace_matrix_sampled(p, modulus, monkeypatch):
+    F = small_field(p, modulus)
+    rng = random.Random(41)
+    A = [rng.randrange(F.q) for _ in range(7)]
+    A += [0, A[2]]
+    B = [rng.randrange(F.q) for _ in range(4)]
+    B += [B[0], 0]
+    monkeypatch.setattr(curves, "_FIELD_BLOCK_CELLS", 4 * F.q)
+    digits = F.digits.tolist()
+    _check_field_traces(F, A, B, functools.cache(lambda a, b: extension_trace_euler(digits[a], digits[b], p, modulus)))
 
 
 def test_curve_model_validation():
