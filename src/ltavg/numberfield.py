@@ -10,6 +10,12 @@ works through the power basis 1, theta, ..., theta^(n_K - 1):
   * a degree-f prime above an unramified p is a degree-f irreducible factor of
     poly mod p; the residue field is F_p[t]/(factor) with theta mapped to t.
 
+Parsing imports sympy only as a fallback. disc(poly) is a Bareiss determinant
+of the Sylvester matrix, and the factor degrees of poly mod 100 unramified
+primes both prove irreducibility (_patterns_prove_irreducible) and check that
+K is Galois. Fields they cannot prove irreducible, such as biquadratic ones,
+import sympy for its irreducibility test.
+
 The cyclotomic invariants (m_K, n_A, G_mK) describe the maximal abelian
 subfield A: n_A = [A:Q], m_K its conductor, and G_mK the group of residues
 mod m_K hit by the norms of split primes. They are measured empirically from
@@ -29,6 +35,7 @@ from . import gfpoly
 from .primes import divisors_from_factors, factorize_slow, phi_from_factors, sieve_primes
 
 MIN_WITNESSES = 20
+_N_PROBES = 100  # primes whose factor patterns parse_field inspects
 DEFAULT_MAX_MODULUS = 2000
 
 PRESETS: dict[str, tuple[int, ...]] = {
@@ -182,23 +189,6 @@ def degree_f_primes(field: GaloisFieldSpec, p: int, f: int) -> list[DegreeFPrime
     return [DegreeFPrime(p=p, f=f, modulus=g) for g in factors]
 
 
-def reduce_element(field: GaloisFieldSpec, coords, prime: DegreeFPrime):
-    """Reduce sum_j coords[j] * theta^j at the given prime.
-
-    Returns an int residue for f = 1, else a gfpoly tuple in F_p[t]/(modulus).
-    """
-    if len(coords) != field.n_K:
-        raise ValueError(f"expected {field.n_K} coordinates")
-    p = prime.p
-    if prime.f == 1:
-        rho = prime.root
-        acc = 0
-        for c in reversed(coords):
-            acc = (acc * rho + c) % p
-        return acc
-    return gfpoly.mod(gfpoly.normalize(coords, p), prime.modulus, p)
-
-
 def empirical_norm_residues(field: GaloisFieldSpec, q: int, p_budget: int) -> frozenset[int]:
     """Residues mod q of split primes up to p_budget (the empirical image G_q).
 
@@ -270,22 +260,54 @@ def _residue_counts(ps: np.ndarray, q: int) -> dict[int, int]:
     return {int(a): int(c) for a, c in zip(res, counts)}
 
 
-def _check_galois_degrees(poly, disc, n_probes: int = 100) -> None:
-    """Factor mod the first n_probes good primes; abort on non-uniform degrees."""
-    probed = 0
+def _factor_patterns(poly, disc) -> list[tuple[int, tuple[int, ...]]]:
+    """(p, sorted factor degrees of poly mod p) for the first _N_PROBES primes
+    p < 4000 not dividing disc (fewer if there are not that many)."""
+    out = []
     for p in sieve_primes(4000).tolist():
         if disc % p == 0:
             continue
-        fp = gfpoly.normalize(poly, p)
-        degs = {d for d, _ in gfpoly.distinct_degree_factor(fp, p)}
-        if len(degs) != 1:
+        ddf = gfpoly.distinct_degree_factor(gfpoly.normalize(poly, p), p)
+        out.append((p, tuple(sorted(d for d, g in ddf for _ in range(gfpoly.degree(g) // d)))))
+        if len(out) == _N_PROBES:
+            break
+    return out
+
+
+def _patterns_prove_irreducible(patterns, n: int) -> bool:
+    """True when no degree 0 < k < n is a sub-multiset sum of every pattern.
+
+    A monic factor of degree k over Q reduces, at each p not dividing disc, to
+    a product of some of the irreducible factors mod p, so every pattern would
+    have a sub-multiset summing to k.
+    """
+    cands = set(range(1, n))
+    for _, degs in patterns:
+        sums = {0}
+        for d in degs:
+            sums |= {s + d for s in sums}
+        cands &= sums
+        if not cands:
+            return True
+    return False
+
+
+def _sympy_irreducible(poly) -> bool:
+    import sympy
+
+    x = sympy.symbols("x")
+    return sympy.Poly(sum(c * x**i for i, c in enumerate(poly)), x).is_irreducible
+
+
+def _check_galois_degrees(patterns) -> None:
+    """Abort on a probe prime with non-uniform factor degrees."""
+    for p, degs in patterns:
+        if len(set(degs)) != 1:
             raise ArithmeticError(
                 f"poly splits with mixed factor degrees mod {p}; the field is not Galois"
             )
-        probed += 1
-        if probed >= n_probes:
-            return
-    raise RuntimeError("not enough probe primes below 4000")  # unreachable for sane inputs
+    if len(patterns) < _N_PROBES:
+        raise RuntimeError("not enough probe primes below 4000")  # unreachable for sane inputs
 
 
 def parse_field(
@@ -341,13 +363,10 @@ def _build_field(poly, name, p_budget, max_modulus, overrides) -> GaloisFieldSpe
     if disc == 0:
         raise ValueError("poly is not squarefree")
     if n_K > 1:
-        import sympy
-
-        x = sympy.symbols("x")
-        expr = sum(c * x**i for i, c in enumerate(poly))
-        if not sympy.Poly(expr, x).is_irreducible:
+        patterns = _factor_patterns(poly, disc)
+        if not _patterns_prove_irreducible(patterns, n_K) and not _sympy_irreducible(poly):
             raise ValueError("poly is reducible over Q")
-        _check_galois_degrees(poly, disc)
+        _check_galois_degrees(patterns)
     spec = GaloisFieldSpec(
         name=name, poly=poly, n_K=n_K, disc=disc, m_K=1, n_A=1, G_mK=frozenset({1})
     )
@@ -385,11 +404,34 @@ def _validate_group(spec: GaloisFieldSpec) -> None:
 
 
 def _poly_discriminant(poly: tuple[int, ...]) -> int:
-    """disc(poly) via sympy (degree 1 has discriminant 1 by convention)."""
-    if len(poly) == 2:
+    """disc(poly) = (-1)^(n(n-1)/2) Res(poly, poly') for monic poly of degree n
+    (degree 1 has discriminant 1 by convention)."""
+    n = len(poly) - 1
+    if n == 1:
         return 1
-    import sympy
+    f = poly[::-1]  # high -> low
+    df = [(n - i) * c for i, c in enumerate(f[:-1])]
+    # Sylvester matrix: n - 1 shifted rows of poly, then n shifted rows of poly'
+    rows = [[0] * i + list(f) + [0] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[0] * i + df + [0] * (n - 1 - i) for i in range(n)]
+    return (-1) ** (n * (n - 1) // 2) * _det_bareiss(rows)
 
-    x = sympy.symbols("x")
-    expr = sum(c * x**i for i, c in enumerate(poly))
-    return int(sympy.discriminant(expr, x))
+
+def _det_bareiss(m: list[list[int]]) -> int:
+    """Determinant of the square integer matrix m (overwritten) by
+    fraction-free Bareiss elimination: every division is exact."""
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, size):
+            mi, mik = m[i], m[i][k]
+            for j in range(k + 1, size):
+                mi[j] = (mi[j] * pivot - mik * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]

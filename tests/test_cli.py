@@ -187,3 +187,16 @@ def test_ltavg_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_parse_field_does_not_load_sympy():
+    # the mod-p factor patterns prove every preset irreducible, so sympy's
+    # irreducibility test (and its 0.3 s import) is never reached
+    code = (
+        "import sys; from ltavg.numberfield import PRESETS, parse_field; "
+        "[parse_field(name) for name in PRESETS]; "
+        "print(sorted(m for m in sys.modules if m.startswith('sympy')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

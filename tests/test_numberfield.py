@@ -11,11 +11,10 @@ from ltavg import (
     degree_f_primes,
     empirical_norm_residues,
     parse_field,
-    reduce_element,
     split_primes_up_to,
 )
-from ltavg import gfpoly
-from ltavg.numberfield import PRESETS, _x_pow_p_is_x
+from ltavg import experiments, gfpoly
+from ltavg.numberfield import PRESETS, _poly_discriminant, _x_pow_p_is_x
 
 
 def test_preset_invariants():
@@ -120,7 +119,7 @@ def test_degree_f_primes_rational_field():
 def test_reduce_element_gaussian():
     Qi = parse_field("Q_i")
     for q in degree_f_primes(Qi, 13, 1):
-        assert reduce_element(Qi, (3, 5), q) == (3 + 5 * q.root) % 13
+        assert experiments._reduce(np.array([[3, 5]]), q).tolist() == [(3 + 5 * q.root) % 13]
 
 
 def test_empirical_norm_residues():
@@ -210,3 +209,57 @@ def test_batched_split_test_rejects_int64_overflow():
         assert (len(poly) - 1) * p**2 >= 2**63
         with pytest.raises(OverflowError):
             _x_pow_p_is_x(poly, np.array([p], dtype=np.int64))
+
+
+def _sympy_disc(poly):
+    x = sympy.symbols("x")
+    return int(sympy.discriminant(sum(c * x**i for i, c in enumerate(poly)), x))
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def test_poly_discriminant_matches_sympy():
+    rng = np.random.default_rng(11)
+    polys = [p for p in PRESETS.values() if len(p) > 2]
+    polys += [tuple(rng.integers(-9, 10, size=n).tolist()) + (1,) for n in rng.integers(2, 8, size=300)]
+    polys += [tuple(_shifted(PRESETS[name], 10**6)) for name in ("Q_zeta5", "S3_x3m2")]
+    assert max(abs(c) for c in polys[-2]) > 2**63
+    for poly in polys:
+        assert _poly_discriminant(poly) == _sympy_disc(poly), poly
+    assert _poly_discriminant(PRESETS["Q"]) == 1
+
+
+def test_poly_discriminant_of_repeated_factor_is_zero():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        g = tuple(rng.integers(-9, 10, size=rng.integers(1, 4)).tolist()) + (1,)
+        h = tuple(rng.integers(-9, 10, size=rng.integers(0, 3)).tolist()) + (1,)
+        assert _poly_discriminant(_times(_times(g, g), h)) == 0
+    assert _poly_discriminant((0, 0, 0, 1)) == 0  # x^3: a pivot column with no nonzero entry left
+
+
+def test_biquadratic_field_parses_through_sympy_fallback():
+    # every Frobenius of Q(sqrt2, sqrt3) has order <= 2, so the mod-p patterns
+    # 1+1+1+1 and 2+2 leave a possible quadratic factor for sympy to exclude
+    K = parse_field([1, 0, -10, 0, 1])
+    assert (K.disc, K.m_K, K.n_A, K.G_mK) == (147456, 24, 4, frozenset({1, 23}))
+
+
+@pytest.mark.parametrize(
+    "poly, error, match",
+    [
+        ([4, 0, 5, 0, 1], ValueError, "reducible"),  # (x^2+1)(x^2+4): uniform patterns
+        ([6, 0, -5, 0, 1], ValueError, "reducible"),  # (x^2-2)(x^2-3): mixed patterns
+        ([-2, 0, 0, 1], ArithmeticError, "not Galois"),
+        ([-1, -1, 1, 1], ValueError, "not squarefree"),  # (x+1)^2 (x-1)
+    ],
+)
+def test_parse_field_error_order(poly, error, match):
+    with pytest.raises(error, match=match):
+        parse_field(poly)
