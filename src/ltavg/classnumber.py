@@ -126,26 +126,65 @@ def hurwitz_H(D: int) -> Fraction:
     return _remember(_hurwitz_memo, D, 2 * total)
 
 
-def hurwitz_table(X: int) -> np.ndarray:
-    """T[n] = 6 * H(-n) for 0 <= n <= X, exact, and 0 where n = 1, 2 mod 4.
+def hurwitz_values(n) -> np.ndarray:
+    """6 * H(-n) for each n of a strictly ascending int64 array of n >= 0,
+    exact, and 0 where n = 0 or n = 1, 2 mod 4.
 
-    One sweep over all reduced forms (a, b, c) with 4ac - b^2 <= X, imprimitive
-    ones included (Cohen, A Course in Computational Algebraic Number Theory,
-    5.3).  For fixed (a, b) the discriminants of (a, b, c), c >= c0, step by
-    4a, so each pair adds 6 to one slice; (a, 0, a) then gives back 3 and
-    (a, a, a) gives back 4, for their weights 1/2 and 1/3.
+    Counts the reduced forms (a, b, c) of discriminant -n, imprimitive ones
+    included, one a at a time for 3a^2 <= max n (Cohen, A Course in
+    Computational Algebraic Number Theory, 5.3).  A form is one root
+    b in (-a, a] of b^2 = -n mod 4a with c = (n + b^2)/4a >= a, and c > a
+    when b < 0.  For n >= 4a^2 every root qualifies, so R[(-n) mod 4a] counts
+    them, R the bincount of b^2 mod 4a.  For 3a^2 <= n < 4a^2, a contiguous
+    slice of the queries, only the roots with b^2 >= m = 4a^2 - n do, and
+    b^2 > m when b < 0: with the roots sorted by residue and then by the key
+    2b^2 - [b < 0], those are the tail of the residue's block from the first
+    key >= 2m.  (a, 0, a) at n = 4a^2 and (a, a, a) at n = 3a^2 then give back
+    3 and 4, for their weights 1/2 and 1/3.  Memory is O(len(n) + sqrt(max n));
+    time is about len(n) * sqrt(max n) / 3 gathers.
     """
-    T = np.zeros(X + 1, dtype=np.int64)
+    n = np.asarray(n, dtype=np.int64)
+    if n.ndim != 1:
+        raise ValueError("n must be a one-dimensional array")
+    out = np.zeros(len(n), dtype=np.int64)
+    if not len(n):
+        return out
+    if n[0] < 0 or np.count_nonzero(n[1:] <= n[:-1]):
+        raise ValueError("n must be nonnegative and strictly ascending")
+    N = int(n[-1])
+    # the band keys reach 4a * (2a^2 + 2) < 2^63 for 3a^2 <= N < 2^40
+    if N >= 1 << 40:
+        raise OverflowError("band keys overflow int64 for n >= 2^40")
+    neg = -n
     a = 1
-    while 3 * a * a <= X:
-        for b in range(1 - a, a + 1):
-            c0 = a if b >= 0 else a + 1  # b < 0 needs |b| < a < c
-            T[4 * a * c0 - b * b :: 4 * a] += 6
-        if 4 * a * a <= X:
-            T[4 * a * a] -= 3
-        T[3 * a * a] -= 4
+    while 3 * a * a <= N:
+        q = 4 * a
+        b = np.arange(1 - a, a + 1, dtype=np.int64)
+        sq = b * b
+        res = sq % q
+        R = np.bincount(res, minlength=q)
+        lo3 = int(n.searchsorted(3 * a * a))
+        lo4 = int(n.searchsorted(4 * a * a))
+        out[lo4:] += (6 * R)[neg[lo4:] % q]
+        if lo4 < len(n) and n[lo4] == 4 * a * a:
+            out[lo4] -= 3
+        if lo3 < lo4:
+            # only the band queries whose residue has roots need a search
+            t = neg[lo3:lo4] % q
+            hit = np.nonzero(R[t])[0]
+            t = t[hit]
+            K = 2 * a * a + 2
+            keys = res * K + 2 * sq
+            keys[: a - 1] -= 1  # b < 0
+            # the keys are distinct; the stable sort maps fewer numpy code
+            # pages than the default quicksort, which shows in peak RSS
+            keys.sort(kind="stable")
+            first = keys.searchsorted(t * K + 2 * (4 * a * a + neg[lo3 + hit]))
+            out[lo3 + hit] += 6 * (np.cumsum(R)[t] - first)
+            if n[lo3] == 3 * a * a:
+                out[lo3] -= 4
         a += 1
-    return T
+    return out
 
 
 def _remember(memo: dict, key: int, value):

@@ -31,7 +31,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import curves
-from .classnumber import hurwitz_table
+from .classnumber import hurwitz_values
 from .curves import CurveModel, ReducedCurve, field_trace_matrix, small_field, trace_matrix
 from .ltconstant import constant_product, constant_sum, pi_half
 from .numberfield import (
@@ -331,9 +331,14 @@ def box_variance(field, box: CurveBox, r: int, x, C: float, workers: int = 1) ->
 
 
 def _hurwitz_parts(field: GaloisFieldSpec, r: int, x: int) -> list:
-    """(p, 6 H(r^2 - 4p), 6p) for each admissible prime p <= x, ascending."""
-    T = hurwitz_table(4 * x)
-    return [(p, int(T[4 * p - r * r]), 6 * p) for p in admissible_primes(field, x, r)]
+    """(p, 6 H(r^2 - 4p), 6p) for each admissible prime p <= x, ascending.
+
+    One hurwitz_values call counts the reduced forms of these discriminants
+    alone.
+    """
+    ps = admissible_primes(field, x, r)
+    H6 = hurwitz_values(4 * np.array(ps, dtype=np.int64) - r * r)
+    return [(p, h, 6 * p) for p, h in zip(ps, H6.tolist())]
 
 
 def _tree_sum(pairs: list) -> tuple[int, int]:
@@ -347,16 +352,10 @@ def _tree_sum(pairs: list) -> tuple[int, int]:
     return pairs[0]
 
 
-def hurwitz_prime_sum(field, r: int, x) -> float:
-    """The value at x of hurwitz_sum_report: the sum of H(r^2-4p)/p over
-    admissible split primes up to x, scaled by half the field degree."""
-    return hurwitz_sum_report(field, r, x).rows[-1]["empirical"]
-
-
 def hurwitz_sum_report(field, r: int, x, checkpoints=(), constant=None, workers: int = 1) -> ExperimentReport:
     """Exact-rational accumulation of H(r^2-4p)/p over admissible split primes
-    up to each checkpoint, scaled by half the field degree.  The sum is one
-    table read per prime, so workers is accepted and ignored."""
+    up to each checkpoint, scaled by half the field degree.  The sum reads
+    one hurwitz_values entry per prime, so workers is accepted and ignored."""
     started = time.time()
     field = _as_field(field)
     r, x = int(r), int(x)
@@ -389,20 +388,13 @@ def _a1_parts(field: GaloisFieldSpec, r: int, x: int) -> list:
     """(p, log p * sum over k of L(1, chi_{-m/k^2}) / k) with m = 4p - r^2 and
     k^2 | m running over the square divisors that leave a discriminant.
 
-    The k-sum telescopes to pi * H(-m) / sqrt(m), read from the Hurwitz table.
+    The k-sum telescopes to pi * H(-m) / sqrt(m), with 6 H(-m) read from
+    _hurwitz_parts, so hurwitz_values is asked for these m alone.
     """
-    T = hurwitz_table(4 * x)
-    parts = []
-    for p in admissible_primes(field, x, r):
-        m = 4 * p - r * r
-        parts.append((p, math.pi * (int(T[m]) / 6) / math.sqrt(m) * math.log(p)))
-    return parts
-
-
-def weighted_L_average(field, r: int, x) -> float:
-    """The value at x of a1_report: the degree-weighted average of L(1, chi)
-    over admissible primes and square divisors of 4p - r^2."""
-    return a1_report(field, r, x).rows[-1]["empirical"]
+    return [
+        (p, math.pi * (h6 / 6) / math.sqrt(4 * p - r * r) * math.log(p))
+        for p, h6, _ in _hurwitz_parts(field, r, x)
+    ]
 
 
 def a1_report(field, r: int, x, checkpoints=(), constant=None, workers: int = 1) -> ExperimentReport:
@@ -571,11 +563,13 @@ def deuring_check(p_max: int) -> ExperimentReport:
     The mass of trace r is the number of trace-r models over F_p divided by
     p - 1.  One trace_counts call per prime gives every r at once, from one
     curve per j-invariant and its quadratic twist, so a prime costs O(p^2).
+    The expected masses H(r^2 - 4p)/2 come from one hurwitz_values call on
+    every n <= 4 p_max, which the primes then read as 4p - r^2.
     """
     started = time.time()
     rows = []
     mismatches = []
-    T = hurwitz_table(4 * max(int(p_max), 0))
+    T = hurwitz_values(np.arange(4 * max(int(p_max), 0) + 1, dtype=np.int64))
     for p in sieve_primes(int(p_max)).tolist():
         if p < 5:
             continue

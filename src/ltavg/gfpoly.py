@@ -120,6 +120,8 @@ def roots(f: Poly, p: int) -> list[int]:
     f = monic(trim(f), p)
     if degree(f) <= 0:
         return []
+    if degree(f) == 1:
+        return [(-f[0]) % p]
     # restrict to the product of distinct linear factors
     lin = gcd(f, add(x_pow_p_mod(f, p), (0, p - 1), p), p)
     return sorted(_linear_roots(lin, p))

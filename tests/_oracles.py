@@ -9,6 +9,7 @@ import itertools
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from ltavg import gfpoly
 
@@ -44,6 +45,28 @@ def hurwitz_all_forms(D):
                 total += 1
         a += 1
     return total
+
+
+def hurwitz_sweep(X):
+    """T[n] = 6 * H(-n) for 0 <= n <= X, and 0 where n = 1, 2 mod 4.
+
+    One sweep over all reduced forms (a, b, c) with 4ac - b^2 <= X, imprimitive
+    ones included (Cohen, A Course in Computational Algebraic Number Theory,
+    5.3).  For fixed (a, b) the discriminants of (a, b, c), c >= c0, step by
+    4a, so each pair adds 6 to one slice; (a, 0, a) then gives back 3 and
+    (a, a, a) gives back 4, for their weights 1/2 and 1/3.
+    """
+    T = np.zeros(X + 1, dtype=np.int64)
+    a = 1
+    while 3 * a * a <= X:
+        for b in range(1 - a, a + 1):
+            c0 = a if b >= 0 else a + 1  # b < 0 needs |b| < a < c
+            T[4 * a * c0 - b * b :: 4 * a] += 6
+        if 4 * a * a <= X:
+            T[4 * a * a] -= 3
+        T[3 * a * a] -= 4
+        a += 1
+    return T
 
 
 def class_number_forms(D):

@@ -13,6 +13,8 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from conftest import record_criterion
 from _oracles import hurwitz_all_forms
 from ltavg import (
@@ -29,11 +31,10 @@ from ltavg import (
     local_factor_2,
     parse_field,
     theta_K,
-    weighted_L_average,
 )
-from ltavg.classnumber import hurwitz_table
+from ltavg.classnumber import hurwitz_values
 from ltavg.curves import ReducedCurve
-from ltavg.experiments import constant_report, hurwitz_sum_report
+from ltavg.experiments import a1_report, constant_report, hurwitz_sum_report
 from ltavg.primes import sieve_primes
 
 _memo = {}
@@ -95,7 +96,7 @@ def test_criterion_01_deuring_mass_exact():
 def test_criterion_02_class_number_oracle():
     t0 = time.monotonic()
     checked = 0
-    T = hurwitz_table(2000)
+    T = hurwitz_values(np.arange(2001))
     for D in range(-3, -2001, -1):
         if D % 4 in (0, 1):
             want = hurwitz_all_forms(D)
@@ -173,7 +174,7 @@ def test_criterion_05_two_adic_factor_totality():
 
 def test_criterion_06_hurwitz_sum_convergence():
     # the class-number sum and the weighted L-sum of criterion 7 read the same
-    # Hurwitz table, so together they check the constant, not two
+    # Hurwitz numbers, so together they check the constant, not two
     # independent routes to it
     t0 = time.monotonic()
     rep = _hurwitz_report()
@@ -187,16 +188,16 @@ def test_criterion_06_hurwitz_sum_convergence():
 
 
 def test_criterion_07_weighted_l_sum_convergence():
-    # reads the Hurwitz table of criterion 6 (pi H(-m) / sqrt(m) per prime):
+    # reads the Hurwitz numbers of criterion 6 (pi H(-m) / sqrt(m) per prime):
     # this checks the constant, not a second independent route
     t0 = time.monotonic()
     Q = _field("Q")
     c = _constant_reports()[("Q", 1)].constant["product"]["value"]
     x = 10**5
-    ratio = weighted_L_average(Q, 1, x) / (math.pi / 2 * c * x)
+    ratio = a1_report(Q, 1, x).rows[-1]["empirical"] / (math.pi / 2 * c * x)
     assert 0.85 <= ratio <= 1.15
     for r in (1, 2, 3):
-        assert weighted_L_average(Q, r, 10**4) == weighted_L_average(Q, -r, 10**4)
+        assert a1_report(Q, r, 10**4).rows[-1]["empirical"] == a1_report(Q, -r, 10**4).rows[-1]["empirical"]
     dt = time.monotonic() - t0
     assert dt < 300
     record_criterion(7, f"ratio {ratio:.4f} at 1e5, exact r <-> -r symmetry, {dt:.0f}s")

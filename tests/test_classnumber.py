@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import sympy
 
-from _oracles import class_number_forms, hurwitz_all_forms
+from _oracles import class_number_forms, hurwitz_all_forms, hurwitz_sweep
 from ltavg import (
     L1_formula,
     L1_series,
@@ -24,7 +24,7 @@ from ltavg import (
     unit_count_w,
 )
 from ltavg import classnumber
-from ltavg.classnumber import hurwitz_table
+from ltavg.classnumber import hurwitz_values
 
 
 def test_hurwitz_spot_values():
@@ -38,7 +38,7 @@ def test_hurwitz_spot_values():
 
 def test_hurwitz_matches_forms_oracle():
     # the full sweep down to -2000 runs in the acceptance suite
-    T = hurwitz_table(500)
+    T = hurwitz_values(np.arange(500))
     for D in range(-3, -500, -1):
         if D % 4 in (0, 1):
             want = hurwitz_all_forms(D)
@@ -50,10 +50,57 @@ def test_hurwitz_matches_forms_oracle():
 
 def test_hurwitz_table_spot_values_near_table_end():
     X = 4 * 10**5
-    T = hurwitz_table(X)
+    T = hurwitz_values(np.arange(X + 1))
     assert T.dtype == np.int64 and len(T) == X + 1
     for n in (X, X - 1, X - 4, X - 13, 399_999, 399_871, 399_563):
         assert T[n] == 6 * hurwitz_H(-n), n
+
+
+def test_hurwitz_values_match_sweep_at_every_n():
+    X = 2 * 10**4
+    assert np.array_equal(hurwitz_values(np.arange(X + 1)), hurwitz_sweep(X))
+
+
+def _six_H(n):
+    return 0 if n % 4 in (1, 2) else 6 * hurwitz_all_forms(-n)
+
+
+def test_hurwitz_values_at_band_edges():
+    # n = 3a^2 and n = 4a^2 are where the forms with c = a sit, and where
+    # the per-a count switches between the band and the plain residue count
+    ns = set()
+    for a in list(range(1, 41)) + [97, 105, 210, 330]:
+        for n in (3 * a * a, 4 * a * a, 3 * a * a - 1, 3 * a * a + 1, 4 * a * a - 1, 4 * a * a - 4, 4 * a * a + 4):
+            if n > 0:
+                ns.add(n)
+    ns = sorted(ns)
+    want = [_six_H(n) for n in ns]
+    assert hurwitz_values(np.array(ns)).tolist() == want
+    # each alone, so the slices of one a hold a single query
+    for n, w in zip(ns, want):
+        assert hurwitz_values(np.array([n])).tolist() == [w], n
+
+
+def test_hurwitz_values_zero_off_discriminants():
+    ns = np.array([0] + [n for n in range(1, 3000) if n % 4 in (1, 2)])
+    assert not hurwitz_values(ns).any()
+
+
+def test_hurwitz_values_input_checks():
+    got = hurwitz_values(np.array([], dtype=np.int64))
+    assert got.dtype == np.int64 and got.shape == (0,)
+    for bad in ([7, 3], [3, 3], [-4, 3], [[3, 4]]):
+        with pytest.raises(ValueError):
+            hurwitz_values(np.array(bad))
+    # raised before any work, as the band keys would pass 2^63
+    with pytest.raises(OverflowError):
+        hurwitz_values(np.array([3, 1 << 40]))
+
+
+def test_hurwitz_values_spot_values_near_4e6():
+    ns = [4 * 10**6 - k for k in (1601, 1000, 401, 13, 4, 1, 0)]
+    got = hurwitz_values(np.array(ns)).tolist()
+    assert got == [6 * hurwitz_H(-n) for n in ns]
 
 
 def test_L1_square_divisor_sum_telescopes_to_hurwitz():

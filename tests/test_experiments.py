@@ -18,12 +18,10 @@ from ltavg import (
     count_box_reductions,
     count_box_reductions_pair,
     deuring_check,
-    hurwitz_prime_sum,
     parse_field,
     pi_E_rf,
     pi_half,
     theta_K,
-    weighted_L_average,
 )
 from ltavg import curves
 from ltavg.curves import ReducedCurve
@@ -130,12 +128,12 @@ def test_pi_extension_degree():
 
 def test_hurwitz_prime_sum_tiny_value_exact():
     # only p = 7 contributes below 10: H(-27)/7 / 2 = (4/3)/14
-    assert hurwitz_prime_sum(_Q(), 1, 10) == float(Fraction(2, 21))
+    assert hurwitz_sum_report(_Q(), 1, 10).rows[-1]["empirical"] == float(Fraction(2, 21))
 
 
 def test_hurwitz_prime_sum_rejects_tiny_x():
     with pytest.raises(ValueError):
-        hurwitz_prime_sum(_Q(), 1, 5)
+        hurwitz_sum_report(_Q(), 1, 5)
 
 
 def test_hurwitz_sum_report_matches_plain_fraction_sum():
@@ -162,17 +160,17 @@ def test_hurwitz_sum_report_matches_plain_fraction_sum():
 def test_weighted_L_average_symmetric_in_trace_sign():
     Q = _Q()
     for r in (1, 2, 3):
-        assert weighted_L_average(Q, r, 3000) == weighted_L_average(Q, -r, 3000)
+        assert a1_report(Q, r, 3000).rows[-1]["empirical"] == a1_report(Q, -r, 3000).rows[-1]["empirical"]
 
 
 def test_weighted_L_average_tracks_hurwitz_route():
-    # both sums read one Hurwitz table, so this checks the constant that the
+    # both sums read the same Hurwitz numbers, so this checks the constant that the
     # two normalizations estimate, the weighted L-sum by (pi/2) x and the
     # class-number sum by the comparison integral, not two independent routes
     Q = _Q()
     x = 20000
-    ra = weighted_L_average(Q, 1, x) / (math.pi / 2 * x)
-    rh = hurwitz_prime_sum(Q, 1, x) / pi_half(x)
+    ra = a1_report(Q, 1, x).rows[-1]["empirical"] / (math.pi / 2 * x)
+    rh = hurwitz_sum_report(Q, 1, x).rows[-1]["empirical"] / pi_half(x)
     assert abs(ra - rh) / rh < 0.08
 
 

@@ -66,6 +66,15 @@ def test_roots_of_known_product():
     assert gfpoly.roots((1, 0, 1), 7) == []
 
 
+def test_roots_of_degree_one():
+    rng = random.Random(12)
+    for p in (2, 3, 7, 101, 7919):
+        for _ in range(20):
+            f = (rng.randrange(-3 * p, 3 * p), rng.randrange(1, p))
+            assert gfpoly.roots(f, p) == [x for x in range(p) if (f[0] + f[1] * x) % p == 0], (f, p)
+    assert gfpoly.roots((0, 1), 13) == [0]
+
+
 def test_factor_squarefree_known():
     assert sorted(gfpoly.factor_squarefree((1, 0, 1), 5)) == [((2, 1), 1), ((3, 1), 1)]
 
