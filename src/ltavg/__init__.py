@@ -17,13 +17,8 @@ from .curves import (
     ReducedCurve,
     SmallField,
     aut_size,
-    field_trace,
-    frobenius_trace_power,
     isogeny_mass_oracle,
     isomorphism_orbit,
-    models_isomorphic,
-    point_count_mod_p,
-    point_count_mod_q,
     small_field,
     trace_mod_p,
     trace_mod_q,
@@ -36,7 +31,6 @@ from .experiments import (
     count_box_reductions_pair,
     deuring_check,
     pi_E_rf,
-    theta_K,
 )
 from .ltconstant import (
     ConstantEstimate,
@@ -52,7 +46,6 @@ from .numberfield import (
     degree_f_primes,
     empirical_norm_residues,
     parse_field,
-    split_primes_up_to,
 )
 from .report import ExperimentReport
 
@@ -80,9 +73,7 @@ __all__ = [
     "degree_f_primes",
     "deuring_check",
     "empirical_norm_residues",
-    "field_trace",
     "finite_product_factor",
-    "frobenius_trace_power",
     "hurwitz_H",
     "is_fundamental",
     "is_valid_discriminant",
@@ -90,15 +81,10 @@ __all__ = [
     "isomorphism_orbit",
     "kronecker",
     "local_factor_2",
-    "models_isomorphic",
     "parse_field",
     "pi_E_rf",
     "pi_half",
-    "point_count_mod_p",
-    "point_count_mod_q",
     "small_field",
-    "split_primes_up_to",
-    "theta_K",
     "trace_mod_p",
     "trace_mod_q",
     "unit_count_w",

@@ -2,7 +2,8 @@
 
 h(d) counts primitive reduced binary quadratic forms (a, b, c) of discriminant
 d = b^2 - 4ac < 0, with |b| <= a <= c and b >= 0 whenever |b| = a or a = c.
-The Hurwitz number weights every square divisor:
+The Hurwitz number H(D) counts every reduced form of discriminant D (see
+hurwitz_values), which by content is a sum over square divisors:
 
     H(D) = 2 * sum over k with k^2 | D, D/k^2 = 0 or 1 mod 4, of h(D/k^2) / w(D/k^2)
 
@@ -112,18 +113,14 @@ def unit_count_w(d: int) -> int:
 
 
 def hurwitz_H(D: int) -> Fraction:
-    """Hurwitz number H(D) for D < 0, D = 0 or 1 mod 4. Exact."""
+    """Hurwitz number H(D) for D < 0, D = 0 or 1 mod 4, exact: the
+    hurwitz_values entry at n = -D, divided by 6.  Memoised."""
     if not is_valid_discriminant(D):
         raise ValueError(f"{D} is not a negative discriminant")
     got = _hurwitz_memo.get(D)
     if got is not None:
         return got
-    total = Fraction(0)
-    for k in _square_divisor_roots(-D):
-        d = D // (k * k)
-        if d % 4 in (0, 1):
-            total += Fraction(class_number_h(d), unit_count_w(d))
-    return _remember(_hurwitz_memo, D, 2 * total)
+    return _remember(_hurwitz_memo, D, Fraction(int(hurwitz_values([-D])[0]), 6))
 
 
 def hurwitz_values(n) -> np.ndarray:
@@ -192,14 +189,6 @@ def _remember(memo: dict, key: int, value):
         memo.clear()
     memo[key] = value
     return value
-
-
-def _square_divisor_roots(n: int) -> list[int]:
-    """All k >= 1 with k^2 | n."""
-    ks = [1]
-    for p, e in factorize_slow(n).items():
-        ks = [k * p**j for k in ks for j in range(e // 2 + 1)]
-    return sorted(ks)
 
 
 def L1_formula(d: int) -> float:

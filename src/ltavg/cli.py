@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import experiments
-from .classnumber import class_number_h, hurwitz_H, unit_count_w
+from .classnumber import class_number_h, hurwitz_H, hurwitz_values, is_valid_discriminant, unit_count_w
 from .curves import ReducedCurve, trace_mod_q
 from .experiments import CurveBox
 from .numberfield import parse_field
@@ -156,14 +156,13 @@ def _run_classnum(args) -> int:
                         "H_num": h.numerator, "H_den": h.denominator}, args)
         return 0
     dmin, dmax = args.table
+    ds = [d for d in range(dmin, dmax + 1) if is_valid_discriminant(d)]
+    # hurwitz_values wants ascending n = -d
+    H6 = hurwitz_values([-d for d in reversed(ds)]).tolist()[::-1]
     lines = ["D,h,w,H_num,H_den"]
-    for d in range(dmin, dmax + 1):
-        if d >= 0 or d % 4 not in (0, 1):
-            continue
-        h = class_number_h(d)
-        w = unit_count_w(d)
-        big = hurwitz_H(d)
-        lines.append(f"{d},{h},{w},{big.numerator},{big.denominator}")
+    for d, h6 in zip(ds, H6):
+        big = Fraction(h6, 6)
+        lines.append(f"{d},{class_number_h(d)},{unit_count_w(d)},{big.numerator},{big.denominator}")
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -1,9 +1,8 @@
-"""Point counts and traces of Frobenius for elliptic curves over finite fields.
+"""Traces of Frobenius for elliptic curves over finite fields.
 
 Curves are short Weierstrass models y^2 = x^3 + a*x + b in characteristic
 at least 5.  Traces come from quadratic character sums, over F_p or over
-F_p[t]/(modulus) with the character read off the squares, or, for curves
-with prime-field coefficients, from the recurrence on Frobenius eigenvalues.
+F_p[t]/(modulus) with the character read off the squares.
 """
 
 from __future__ import annotations
@@ -61,10 +60,6 @@ def trace_mod_p(a: int, b: int, p: int) -> int:
     cubic = (x * x % p) * x % p
     vals = (cubic + a * x) % p
     return -int(chi[vals + b].sum())
-
-
-def point_count_mod_p(a: int, b: int, p: int) -> int:
-    return p + 1 - trace_mod_p(a, b, p)
 
 
 # cells per block of rows in _cubic_blocks: 64 KB per int64 buffer
@@ -208,20 +203,6 @@ def aut_size(a: int, b: int, p: int) -> int:
     return gcd(6, p - 1)
 
 
-def models_isomorphic(a1: int, b1: int, a2: int, b2: int, p: int) -> bool:
-    """Whether two models over F_p differ by the substitution x -> u^2 x."""
-    a1 %= p
-    b1 %= p
-    a2 %= p
-    b2 %= p
-    for u in range(1, p):
-        u2 = u * u % p
-        u4 = u2 * u2 % p
-        if (u4 * a1 - a2) % p == 0 and (u4 * u2 * b1 - b2) % p == 0:
-            return True
-    return False
-
-
 def isomorphism_orbit(a: int, b: int, p: int) -> list[tuple[int, int]]:
     """All models (u^4 a, u^6 b) isomorphic to (a, b) over F_p, sorted."""
     u = np.arange(1, p, dtype=np.int64)
@@ -231,20 +212,6 @@ def isomorphism_orbit(a: int, b: int, p: int) -> list[tuple[int, int]]:
     pairs = np.stack([u4 * (a % p) % p, u6 * (b % p) % p], axis=1)
     uniq = np.unique(pairs, axis=0)
     return [(int(x), int(y)) for x, y in uniq]
-
-
-def frobenius_trace_power(trace: int, p: int, f: int) -> int:
-    """Trace over F_{p^f} of a curve over F_p with the given trace over F_p.
-
-    Satisfies t_f = t_1 * t_{f-1} - p * t_{f-2} with t_0 = 2, the power-sum
-    recurrence for the two Frobenius eigenvalues.
-    """
-    if f < 1:
-        raise ValueError("field degree must be positive")
-    prev, cur = 2, trace
-    for _ in range(f - 1):
-        prev, cur = cur, trace * cur - p * prev
-    return cur
 
 
 # rows per block in SmallField.mul, whose int64 temporaries are rows long
@@ -391,26 +358,15 @@ def _as_prime_field_int(value, p: int) -> int:
 
 
 def trace_mod_q(curve: ReducedCurve) -> int:
-    """Trace of Frobenius of a reduced curve over its residue field."""
+    """Trace of Frobenius of a reduced curve over its residue field, by
+    trace_mod_p for f = 1 and as a 1x1 field_trace_matrix for f > 1.
+    Raises ValueError on a singular model."""
     if curve.f == 1:
         return trace_mod_p(_as_prime_field_int(curve.a, curve.p), _as_prime_field_int(curve.b, curve.p), curve.p)
     field = small_field(curve.p, curve.modulus)
     if field.f != curve.f:
         raise ValueError("modulus degree disagrees with the stated field degree")
-    return field_trace(curve.a, curve.b, field)
-
-
-def point_count_mod_q(curve: ReducedCurve) -> int:
-    return curve.p**curve.f + 1 - trace_mod_q(curve)
-
-
-def field_trace(a, b, field: SmallField) -> int:
-    """Trace of Frobenius of y^2 = x^3 + a*x + b over the given F_{p^f}.
-
-    a and b may be ints (prime-field constants) or coefficient sequences in
-    the field's modulus basis.  Requires odd characteristic above 3.
-    """
-    traces, nonsingular = field_trace_matrix(field, [field.element_index(a)], [field.element_index(b)])
+    traces, nonsingular = field_trace_matrix(field, [field.element_index(curve.a)], [field.element_index(curve.b)])
     if not nonsingular[0, 0]:
         raise ValueError("singular model over the extension field")
     return int(traces[0, 0])

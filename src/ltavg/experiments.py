@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import isqrt
 from multiprocessing import get_context
 
@@ -42,7 +44,7 @@ from .numberfield import (
     degree_f_primes,
     empirical_norm_residues,
 )
-from .primes import sieve_primes
+from .primes import is_prime, sieve_primes
 from .report import ExperimentReport, constant_provenance, make_row
 
 DESK_CARDINALITY_BOUND = 10**6
@@ -88,24 +90,6 @@ class CurveBox:
         for r1, r2 in zip(self.b1, self.b2):
             out *= r1 * r2
         return out
-
-    @property
-    def volume_alpha(self) -> int:
-        return 2**self.n * math.prod(self.b1)
-
-    @property
-    def volume_beta(self) -> int:
-        return 2**self.n * math.prod(self.b2)
-
-    @property
-    def volume_min(self) -> int:
-        return 2 * min(self.b1 + self.b2)
-
-    def alpha_ranges(self) -> list[range]:
-        return [range(c - r, c + r + 1) for c, r in zip(self.a1, self.b1)]
-
-    def beta_ranges(self) -> list[range]:
-        return [range(c - r, c + r + 1) for c, r in zip(self.a2, self.b2)]
 
     def describe(self) -> str:
         def vec(v):
@@ -156,6 +140,11 @@ def _merge_checkpoints(x: int, checkpoints) -> list[int]:
     return xs
 
 
+def _checkpoint_ends(keys: list, xs: list[int]) -> list[int]:
+    """For each checkpoint, how many of the ascending keys are at most it."""
+    return [bisect_right(keys, xc) for xc in xs]
+
+
 # ---------------------------------------------------------------------------
 # prime-sharded execution
 
@@ -183,6 +172,8 @@ def _rational_primes(field: GaloisFieldSpec, f: int, x: int, r: int) -> list[int
     """The rational primes whose degree-f primes the counts visit, ascending:
     the admissible split primes up to x for f = 1, else the p with p^f <= x
     coprime to 6*disc."""
+    if f < 1:
+        raise ValueError("degree f must be positive")
     if f == 1:
         return admissible_primes(field, x, r)
     top = int(round(x ** (1.0 / f)))
@@ -261,8 +252,6 @@ def pi_E_rf(field, curve: CurveModel, r: int, f: int, x) -> int:
     """Number of degree-f primes with norm at most x where the reduced curve
     has trace of Frobenius r.  Primes of bad reduction are skipped."""
     field = _as_field(field)
-    if f < 1:
-        raise ValueError("degree f must be positive")
     if x < 2:
         raise ValueError("x must be at least 2")
     if len(curve.alpha) != field.n_K:
@@ -293,15 +282,11 @@ def box_average(field, box: CurveBox, r: int, f: int, x, checkpoints=(), constan
         constant = constant_product(field, r)
     per_prime.sort()
     card = box.cardinality
+    cums = list(accumulate((c for _, c in per_prime), initial=0))
     rows = []
-    idx = 0
-    cum = 0
-    for xc in xs:
-        while idx < len(per_prime) and per_prime[idx][0] ** f <= xc:
-            cum += per_prime[idx][1]
-            idx += 1
+    for xc, end in zip(xs, _checkpoint_ends([p**f for p, _ in per_prime], xs)):
         theoretical = constant.value * pi_half(xc) if constant is not None else None
-        rows.append(make_row(xc, cum / card, theoretical))
+        rows.append(make_row(xc, cums[end] / card, theoretical))
     report = ExperimentReport(
         kind="box-average",
         config={
@@ -366,13 +351,11 @@ def hurwitz_sum_report(field, r: int, x, checkpoints=(), constant=None, workers:
     if constant is None:
         constant = constant_product(field, r)
     rows = []
-    num, den, idx = 0, 1, 0
-    for xc in xs:
-        end = idx
-        while end < len(parts) and parts[end][0] <= xc:
-            end += 1
-        hn, hd = _tree_sum([(hn, hd) for _, hn, hd in parts[idx:end]])
-        num, den, idx = num * hd + hn * den, den * hd, end
+    num, den = 0, 1
+    ends = _checkpoint_ends([p for p, _, _ in parts], xs)
+    for xc, start, end in zip(xs, [0] + ends, ends):
+        hn, hd = _tree_sum([(hn, hd) for _, hn, hd in parts[start:end]])
+        num, den = num * hd + hn * den, den * hd
         # int true division rounds correctly, as float(Fraction) does
         rows.append(make_row(xc, num * field.n_K / (den * 2), constant.value * pi_half(xc)))
     report = ExperimentReport(
@@ -410,13 +393,9 @@ def a1_report(field, r: int, x, checkpoints=(), constant=None, workers: int = 1)
     if constant is None:
         constant = constant_product(field, r)
     rows = []
-    idx = 0
-    terms = []
-    for xc in xs:
-        while idx < len(parts) and parts[idx][0] <= xc:
-            terms.append(parts[idx][1])
-            idx += 1
-        empirical = field.n_K * math.fsum(terms)
+    terms = [t for _, t in parts]
+    for xc, end in zip(xs, _checkpoint_ends([p for p, _ in parts], xs)):
+        empirical = field.n_K * math.fsum(terms[:end])
         rows.append(make_row(xc, empirical, (math.pi / 2) * constant.value * xc))
     report = ExperimentReport(
         kind="a1-average",
@@ -432,11 +411,13 @@ def a1_report(field, r: int, x, checkpoints=(), constant=None, workers: int = 1)
 
 
 def _as_degree_one_prime(field: GaloisFieldSpec, prime, root=None) -> DegreeFPrime:
+    p = prime.p if isinstance(prime, DegreeFPrime) else int(prime)
+    if p <= 3 or not is_prime(p):
+        raise ValueError(f"p={p} is not a prime greater than 3")
     if isinstance(prime, DegreeFPrime):
         if prime.f != 1:
             raise ValueError("a degree-1 prime is required")
         return prime
-    p = int(prime)
     options = degree_f_primes(field, p, 1)
     if not options:
         raise ValueError(f"p={p} has no degree-1 primes here")
@@ -451,8 +432,8 @@ def _as_degree_one_prime(field: GaloisFieldSpec, prime, root=None) -> DegreeFPri
 
 def _validated_target(field: GaloisFieldSpec, target: ReducedCurve, pr: DegreeFPrime):
     p = pr.p
-    if p <= 3 or (field.disc % p == 0):
-        raise ValueError("the prime must be coprime to 6 and the field discriminant")
+    if field.disc % p == 0:
+        raise ValueError("the prime must be coprime to the field discriminant")
     if target.f != 1 or target.p != p:
         raise ValueError("target must be a prime-field curve over the same p")
     a0 = curves._as_prime_field_int(target.a, p)
@@ -513,12 +494,6 @@ def count_box_reductions_pair(field, box: CurveBox, target1: ReducedCurve, prime
 # ideal counts in progressions
 
 
-def theta_K(field, q: int, a: int, x) -> float:
-    """The value at x of theta_report: the log-weighted count of degree-1
-    primes with norm at most x in the residue class a mod q."""
-    return theta_report(field, q, a, x).rows[-1]["empirical"]
-
-
 def theta_report(field, q: int, a: int, x, checkpoints=()) -> ExperimentReport:
     started = time.time()
     field = _as_field(field)
@@ -529,14 +504,11 @@ def theta_report(field, q: int, a: int, x, checkpoints=()) -> ExperimentReport:
     group = empirical_norm_residues(field, q, max(10_000, x))
     phi_k = len(group)
     ps = sorted(p for p in field.split_primes(x).tolist() if p % q == a % q)
-    rows = []
-    idx = 0
-    terms = []
-    for xc in xs:
-        while idx < len(ps) and ps[idx] <= xc:
-            terms.append(math.log(ps[idx]))
-            idx += 1
-        rows.append(make_row(xc, field.n_K * math.fsum(terms), xc / phi_k))
+    logs = [math.log(p) for p in ps]
+    rows = [
+        make_row(xc, field.n_K * math.fsum(logs[:end]), xc / phi_k)
+        for xc, end in zip(xs, _checkpoint_ends(ps, xs))
+    ]
     report = ExperimentReport(
         kind="theta",
         config={
@@ -597,7 +569,8 @@ def constant_report(field, r: int, method: str = "both", k_max: int = 200, n_max
     """Compute the average-constant estimate(s) and wrap them in a report.
 
     With method="both" the row compares the series value (empirical) against
-    the product value (theoretical), so the ratio exposes the gap.
+    the product value (theoretical), so the ratio exposes the gap.  Neither
+    method runs in workers, so workers is accepted and ignored.
     """
     started = time.time()
     field = _as_field(field)
@@ -610,7 +583,7 @@ def constant_report(field, r: int, method: str = "both", k_max: int = 200, n_max
         prod = constant_product(field, r, l_max)
         prov["product"] = constant_provenance(prod)
     if method in ("sum", "both"):
-        series = constant_sum(field, r, k_max, n_max, workers=workers)
+        series = constant_sum(field, r, k_max, n_max)
         prov["sum"] = constant_provenance(series)
     if method == "both":
         rows = [make_row(n_max, series.value, prod.value)]

@@ -110,11 +110,6 @@ def x_pow_p_mod(h: Poly, p: int) -> Poly:
     return powmod((0, 1), p, h, p)
 
 
-def is_squarefree(f: Poly, p: int) -> bool:
-    deriv = trim((i * f[i]) % p for i in range(1, len(f)))
-    return degree(gcd(f, deriv, p)) == 0
-
-
 def roots(f: Poly, p: int) -> list[int]:
     """Distinct roots of f in F_p, ascending. Deterministic."""
     f = monic(trim(f), p)

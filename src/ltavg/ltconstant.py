@@ -303,11 +303,11 @@ def _row_sums(r: int, m: int, units, k_max: int, n_max: int) -> dict[tuple[int, 
     return rows
 
 
-def constant_sum(field, r: int, K_max: int = 200, N_max: int = 5000, workers: int = 1) -> ConstantEstimate:
+def constant_sum(field, r: int, K_max: int = 200, N_max: int = 5000) -> ConstantEstimate:
     """Triple-sum evaluation truncated at K_max, N_max.
 
     Each (b, k) row is a sum of exact rationals in compensated summation, so
-    the value does not depend on row order; workers is accepted and ignored.
+    the value does not depend on row order.
     """
     field = _as_field(field)
     if K_max < 16 or N_max < 16:

@@ -169,12 +169,6 @@ def admissible_primes(field: GaloisFieldSpec, x: int, r: int) -> list[int]:
     return out
 
 
-def split_primes_up_to(field: GaloisFieldSpec, x: int, r: int):
-    """Yield (p, roots) for the admissible primes p <= x (see admissible_primes)."""
-    for p in admissible_primes(field, x, r):
-        yield p, field.roots_mod(p)
-
-
 def degree_f_primes(field: GaloisFieldSpec, p: int, f: int) -> list[DegreeFPrime]:
     """The primes above p, provided they all have residue degree f (else [])."""
     if field.disc % p == 0:

@@ -12,6 +12,8 @@ import mpmath
 import numpy as np
 
 from ltavg import gfpoly
+from ltavg.classnumber import class_number_h, unit_count_w
+from ltavg.primes import factorize_slow
 
 
 def hurwitz_all_forms(D):
@@ -67,6 +69,27 @@ def hurwitz_sweep(X):
         T[3 * a * a] -= 4
         a += 1
     return T
+
+
+def _square_divisor_roots(n):
+    """All k >= 1 with k^2 | n."""
+    ks = [1]
+    for p, e in factorize_slow(n).items():
+        ks = [k * p**j for k in ks for j in range(e // 2 + 1)]
+    return sorted(ks)
+
+
+def hurwitz_from_class_numbers(D):
+    """H(D) as 2 * sum of h(d) / w(d) over d = D/k^2, k^2 | D, d = 0 or 1
+    mod 4: primitive forms counted by class_number_h, one order at a time."""
+    if D >= 0 or D % 4 not in (0, 1):
+        raise ValueError(f"{D} is not a negative discriminant")
+    total = Fraction(0)
+    for k in _square_divisor_roots(-D):
+        d = D // (k * k)
+        if d % 4 in (0, 1):
+            total += Fraction(class_number_h(d), unit_count_w(d))
+    return 2 * total
 
 
 def class_number_forms(D):
@@ -174,3 +197,35 @@ def extension_trace_table(p, modulus):
                 row.append(-sum(chi_of[plus[v][jb]] for v in rhs))
         traces.append(row)
     return elements, traces
+
+
+def models_isomorphic(a1, b1, a2, b2, p):
+    """Whether two models over F_p differ by the substitution x -> u^2 x,
+    found by trying every u."""
+    a1, b1, a2, b2 = a1 % p, b1 % p, a2 % p, b2 % p
+    for u in range(1, p):
+        u2 = u * u % p
+        u4 = u2 * u2 % p
+        if (u4 * a1 - a2) % p == 0 and (u4 * u2 * b1 - b2) % p == 0:
+            return True
+    return False
+
+
+def frobenius_trace_power(trace, p, f):
+    """Trace over F_{p^f} of a curve over F_p with the given trace over F_p.
+
+    Satisfies t_f = t_1 * t_{f-1} - p * t_{f-2} with t_0 = 2, the power-sum
+    recurrence for the two Frobenius eigenvalues.
+    """
+    if f < 1:
+        raise ValueError("field degree must be positive")
+    prev, cur = 2, trace
+    for _ in range(f - 1):
+        prev, cur = cur, trace * cur - p * prev
+    return cur
+
+
+def is_squarefree(f, p):
+    """Whether f has no repeated factor over F_p: gcd(f, f') is constant."""
+    deriv = gfpoly.trim((i * f[i]) % p for i in range(1, len(f)))
+    return gfpoly.degree(gfpoly.gcd(f, deriv, p)) == 0

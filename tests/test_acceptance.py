@@ -30,11 +30,10 @@ from ltavg import (
     isogeny_mass_oracle,
     local_factor_2,
     parse_field,
-    theta_K,
 )
 from ltavg.classnumber import hurwitz_values
 from ltavg.curves import ReducedCurve
-from ltavg.experiments import a1_report, constant_report, hurwitz_sum_report
+from ltavg.experiments import a1_report, constant_report, hurwitz_sum_report, theta_report
 from ltavg.primes import sieve_primes
 
 _memo = {}
@@ -259,7 +258,7 @@ def test_criterion_11_theta_chebotarev():
     for q in (3, 4, 5):
         group = empirical_norm_residues(Qi, q, x)
         for a in sorted(group):
-            got = theta_K(Qi, q, a, x)
+            got = theta_report(Qi, q, a, x).rows[-1]["empirical"]
             want = x / len(group)
             off = abs(got / want - 1)
             assert off < 0.10, (q, a, got)

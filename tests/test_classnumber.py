@@ -1,7 +1,8 @@
 """Class numbers, Kronecker symbol, and L-values at s=1.
 
 The reduced-forms oracles live in _oracles and recount everything by direct
-form enumeration, independent of the square-divisor recursion in the package.
+form enumeration; _oracles.hurwitz_from_class_numbers sums class numbers over
+square divisors, independent of the package's count of all reduced forms.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import sympy
 
-from _oracles import class_number_forms, hurwitz_all_forms, hurwitz_sweep
+from _oracles import class_number_forms, hurwitz_all_forms, hurwitz_from_class_numbers, hurwitz_sweep
 from ltavg import (
     L1_formula,
     L1_series,
@@ -53,7 +54,7 @@ def test_hurwitz_table_spot_values_near_table_end():
     T = hurwitz_values(np.arange(X + 1))
     assert T.dtype == np.int64 and len(T) == X + 1
     for n in (X, X - 1, X - 4, X - 13, 399_999, 399_871, 399_563):
-        assert T[n] == 6 * hurwitz_H(-n), n
+        assert T[n] == 6 * hurwitz_from_class_numbers(-n), n
 
 
 def test_hurwitz_values_match_sweep_at_every_n():
@@ -100,7 +101,7 @@ def test_hurwitz_values_input_checks():
 def test_hurwitz_values_spot_values_near_4e6():
     ns = [4 * 10**6 - k for k in (1601, 1000, 401, 13, 4, 1, 0)]
     got = hurwitz_values(np.array(ns)).tolist()
-    assert got == [6 * hurwitz_H(-n) for n in ns]
+    assert got == [6 * hurwitz_from_class_numbers(-n) for n in ns]
 
 
 def test_L1_square_divisor_sum_telescopes_to_hurwitz():
@@ -120,13 +121,13 @@ def test_L1_square_divisor_sum_telescopes_to_hurwitz():
 
 def test_memos_stay_within_their_limit(monkeypatch):
     Ds = [D for D in range(-3, -400, -1) if D % 4 in (0, 1)]
-    want = [hurwitz_H(D) for D in Ds]
+    want = [(hurwitz_H(D), class_number_h(D)) for D in Ds]
     monkeypatch.setattr(classnumber, "_MEMO_LIMIT", 8)
     monkeypatch.setattr(classnumber, "_h_memo", {})
     monkeypatch.setattr(classnumber, "_hurwitz_memo", {})
     for _ in range(2):
         for D, value in zip(Ds, want):
-            assert hurwitz_H(D) == value
+            assert (hurwitz_H(D), class_number_h(D)) == value
             assert len(classnumber._h_memo) <= 8
             assert len(classnumber._hurwitz_memo) <= 8
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from _oracles import class_number_forms, hurwitz_from_class_numbers
 from ltavg.cli import dispatch
 
 
@@ -38,6 +39,19 @@ def test_classnum_table(capsys):
     assert got["-16"] == "-16,1,2,3,2"
     # only valid discriminants appear
     assert "-5" not in got and "-6" not in got
+
+
+def test_classnum_table_matches_class_number_reference(capsys):
+    # the range holds -3, -4 and the non-fundamental -12, -16 and -27
+    code, out, _ = run(capsys, "classnum", "--table", "-300", "-3")
+    assert code == 0
+    want = ["D,h,w,H_num,H_den"]
+    for d in range(-300, -2):
+        if d % 4 in (0, 1):
+            H = hurwitz_from_class_numbers(d)
+            w = {-3: 6, -4: 4}.get(d, 2)
+            want.append(f"{d},{class_number_forms(d)},{w},{H.numerator},{H.denominator}")
+    assert out.splitlines() == want
 
 
 def test_trace_prime_field(capsys):
@@ -92,6 +106,28 @@ def test_count_reductions_line(capsys):
     )
     assert code == 0
     assert out.startswith("exact=5 main_term=4.13")
+
+
+@pytest.mark.parametrize("primes", [
+    ["--p", "9"],
+    ["--p", "7", "--a2", "1", "--b2", "1", "--p2", "25"],
+    ["--p", "9", "--a2", "1", "--b2", "1", "--p2", "25"],
+])
+def test_count_reductions_composite_prime_fails(capsys, primes):
+    code, out, err = run(
+        capsys, "count-reductions", "--a", "1", "--b", "1", *primes,
+        "--box", "a1=(0);b1=(5);a2=(0);b2=(5)",
+    )
+    assert code == 1 and out == "" and "not a prime" in err
+
+
+@pytest.mark.parametrize("f", ["0", "-1"])
+def test_box_average_nonpositive_degree_fails(capsys, f):
+    code, _, err = run(
+        capsys, "box-average", "--r", "1", "--x", "100", "--f", f,
+        "--box", "a1=(0);b1=(2);a2=(0);b2=(2)",
+    )
+    assert code == 1 and "positive" in err
 
 
 def test_theta_rejects_non_unit_residue(capsys):

@@ -21,11 +21,11 @@ from ltavg import (
     parse_field,
     pi_E_rf,
     pi_half,
-    theta_K,
 )
 from ltavg import curves
 from ltavg.curves import ReducedCurve
 from ltavg.experiments import (
+    _box_sides,
     _hurwitz_parts,
     a1_report,
     constant_report,
@@ -33,6 +33,7 @@ from ltavg.experiments import (
     theta_report,
 )
 from ltavg.ltconstant import constant_product
+from ltavg.numberfield import admissible_primes
 from ltavg.report import ExperimentReport, constant_provenance, make_row
 
 
@@ -47,9 +48,7 @@ def test_curve_box_geometry():
     assert box.n == 1
     assert box.cardinality == 31 * 31
     assert box.volume == 4 * 15 * 15
-    assert box.volume_alpha == 30 and box.volume_beta == 30
-    assert box.volume_min == 30
-    assert list(box.alpha_ranges()[0]) == list(range(-15, 16))
+    assert sorted(set(_box_sides(box)[0][:, 0].tolist())) == list(range(-15, 16))
 
 
 def test_curve_box_degree_two():
@@ -57,7 +56,6 @@ def test_curve_box_degree_two():
     assert box.n == 2
     assert box.cardinality == 5 * 7 * 13 * 15
     assert box.volume == 16 * 2 * 3 * 6 * 7
-    assert box.volume_min == 2 * 2
 
 
 def test_curve_box_string_roundtrip():
@@ -83,11 +81,11 @@ def test_pi_counts_match_direct_filtered_enumeration():
     Q = _Q()
     curve = CurveModel((1,), (1,))
     # direct recount from the split-prime stream
-    from ltavg import split_primes_up_to, trace_mod_p
+    from ltavg import trace_mod_p
 
     for r in (0, 1, -2):
         want = 0
-        for p, _ in split_primes_up_to(Q, 400, r):
+        for p in admissible_primes(Q, 400, r):
             if (4 + 27) % p == 0:
                 continue
             if trace_mod_p(1, 1, p) == r:
@@ -104,10 +102,10 @@ def test_pi_trace_window_empty():
 def test_pi_additivity_over_traces():
     Q = _Q()
     x = 500
-    from ltavg import split_primes_up_to, trace_mod_p
+    from ltavg import trace_mod_p
 
     good = 0
-    for p, _ in split_primes_up_to(Q, x, 1):
+    for p in admissible_primes(Q, x, 1):
         if (4 + 27) % p:
             good += 1
     r_bound = int(2 * math.isqrt(x)) + 2
@@ -178,10 +176,10 @@ def test_box_average_matches_per_model_enumeration():
     Q = _Q()
     box = CurveBox((0,), (2,), (0,), (2,))
     rep = box_average(Q, box, 1, 1, 300)
-    from ltavg import split_primes_up_to, trace_mod_p
+    from ltavg import trace_mod_p
 
     total = 0
-    for p, _ in split_primes_up_to(Q, 300, 1):
+    for p in admissible_primes(Q, 300, 1):
         for a in range(-2, 3):
             for b in range(-2, 3):
                 if (4 * a**3 + 27 * b**2) % p and trace_mod_p(a, b, p) == 1:
@@ -197,8 +195,8 @@ def test_box_average_extension_degree_matches_euler_oracle():
     traces = [
         extension_trace_euler(alpha, beta, p, (1, 0, 1))
         for p in (7, 11, 19)
-        for alpha in product(*box.alpha_ranges())
-        for beta in product(*box.beta_ranges())
+        for alpha in product(*(range(c - r, c + r + 1) for c, r in zip(box.a1, box.b1)))
+        for beta in product(*(range(c - r, c + r + 1) for c, r in zip(box.a2, box.b2)))
     ]
     nonzero = 0
     for r in (-8, -4, -1, 0, 2, 4, 10, 13):
@@ -218,10 +216,31 @@ def test_box_average_checkpoint_rows():
     assert empiricals == sorted(empiricals)  # cumulative counts never drop
 
 
+@pytest.mark.parametrize("run", [
+    lambda x, cps: box_average(_Q(), CurveBox((0,), (3,), (0,), (3,)), 1, 1, x, checkpoints=cps),
+    lambda x, cps: a1_report(_Q(), 1, x, checkpoints=cps),
+    lambda x, cps: theta_report(_Q(), 3, 1, x, checkpoints=cps),
+], ids=["box", "a1", "theta"])
+def test_checkpoint_rows_match_runs_that_end_there(run):
+    # 13 and 97 are primes that each runner counts, and xc + 1 is composite
+    # for each checkpoint xc, so a run to xc + 1 counts the same primes
+    rep = run(400, (13, 97, 98))
+    assert [row["x"] for row in rep.rows] == [13, 97, 98, 400]
+    for row in rep.rows[:-1]:
+        assert row["empirical"] == run(row["x"] + 1, ()).rows[-1]["empirical"], row["x"]
+
+
 def test_box_average_rejects_oversized_box():
     Q = _Q()
     with pytest.raises(ValueError):
         box_average(Q, CurveBox((0,), (600,), (0,), (600,)), 1, 1, 100)
+
+
+def test_box_average_rejects_nonpositive_degree():
+    # for f < 1 the norm bound p^f <= x has no largest prime
+    for f in (0, -1):
+        with pytest.raises(ValueError):
+            box_average(_Q(), CurveBox((0,), (2,), (0,), (2,)), 1, f, 100)
 
 
 def test_box_variance_all_zero_counts():
@@ -286,15 +305,28 @@ def test_count_box_reductions_pair_same_prime_rejected():
         count_box_reductions_pair(Q, box, t1, 11, t2, 11)
 
 
+def test_count_box_reductions_rejects_composite_primes():
+    # checked before any polynomial arithmetic mod p
+    Q = _Q()
+    box = CurveBox((0,), (5,), (0,), (5,))
+    t7, t9, t25 = (ReducedCurve(1, 1, p, 1, None) for p in (7, 9, 25))
+    with pytest.raises(ValueError):
+        count_box_reductions(Q, box, t9, 9)
+    with pytest.raises(ValueError):
+        count_box_reductions_pair(Q, box, t7, 7, t25, 25)
+    with pytest.raises(ValueError):
+        count_box_reductions_pair(Q, box, t9, 9, t25, 25)
+
+
 # ------------------------------------------------------------------ theta
 
 def test_theta_requires_coprime_residue():
     with pytest.raises(ValueError):
-        theta_K(_Q(), 4, 2, 1000)
+        theta_report(_Q(), 4, 2, 1000).rows[-1]["empirical"]
 
 
 def test_theta_tracks_chebotarev_density():
-    got = theta_K(_Q(), 3, 1, 20000)
+    got = theta_report(_Q(), 3, 1, 20000).rows[-1]["empirical"]
     assert abs(got / (20000 / 2) - 1) < 0.1
 
 

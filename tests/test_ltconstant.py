@@ -197,13 +197,6 @@ def test_constant_sum_doubling_within_tail():
     assert abs(n_double.value - base.value) < base.tail_estimate
 
 
-def test_constant_sum_workers_bitwise_identical():
-    Q = parse_field("Q")
-    one = constant_sum(Q, 1, K_max=40, N_max=600, workers=1)
-    two = constant_sum(Q, 1, K_max=40, N_max=600, workers=2)
-    assert one.value == two.value
-
-
 def test_constant_product_frozen_value():
     Q = parse_field("Q")
     est = constant_product(Q, 1, L_max=3000)

@@ -11,10 +11,9 @@ from ltavg import (
     degree_f_primes,
     empirical_norm_residues,
     parse_field,
-    split_primes_up_to,
 )
 from ltavg import experiments, gfpoly
-from ltavg.numberfield import PRESETS, _poly_discriminant, _x_pow_p_is_x
+from ltavg.numberfield import PRESETS, _poly_discriminant, _x_pow_p_is_x, admissible_primes
 
 
 def test_preset_invariants():
@@ -48,14 +47,14 @@ def test_parse_field_from_json(tmp_path):
 
 def test_split_primes_rational_field():
     Q = parse_field("Q")
-    got = [p for p, _ in split_primes_up_to(Q, 200, 1)]
+    got = admissible_primes(Q, 200, 1)
     # every prime above the 4p > 20 floor splits in Q
     assert got == list(sympy.primerange(7, 201))
 
 
 def test_split_primes_gaussian_field():
     Qi = parse_field("Q_i")
-    pairs = list(split_primes_up_to(Qi, 500, 1))
+    pairs = [(p, Qi.roots_mod(p)) for p in admissible_primes(Qi, 500, 1)]
     want = [p for p in sympy.primerange(7, 501) if p % 4 == 1]
     assert [p for p, _ in pairs] == want
     for p, roots in pairs:
@@ -67,7 +66,7 @@ def test_split_primes_gaussian_field():
 def test_split_primes_trace_floor():
     Qi = parse_field("Q_i")
     # 4p must exceed max(20, r^2): with r = 9 only p > 20.25 qualifies
-    got = [p for p, _ in split_primes_up_to(Qi, 100, 9)]
+    got = admissible_primes(Qi, 100, 9)
     assert got == [p for p in sympy.primerange(21, 101) if p % 4 == 1]
 
 
@@ -82,7 +81,8 @@ def test_split_primes_sextic_preset():
         if p % 3 == 1 and pow(2, (p - 1) // 3, p) == 1
     ]
     assert got == want
-    for p, roots in split_primes_up_to(S3, 500, 1):
+    for p in admissible_primes(S3, 500, 1):
+        roots = S3.roots_mod(p)
         assert len(roots) == 6
         for t in roots:
             assert _eval(S3.poly, t, p) == 0
