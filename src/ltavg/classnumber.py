@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .primes import factorize_slow
+from .primes import factorize_slow, sieve_primes
 
 _KRON2 = (0, 1, 0, -1, 0, -1, 0, 1)  # (a/2) indexed by a mod 8
 
@@ -99,6 +99,44 @@ def class_number_h(d: int) -> int:
     Am, Bm, Cm = A[mask], B[mask], C[mask]
     g = np.gcd(np.gcd(Am, np.abs(Bm)), Cm)
     return _remember(_h_memo, d, int(np.count_nonzero(g == 1)))
+
+
+def class_numbers(n) -> np.ndarray:
+    """h(-n) for each n of a strictly ascending int64 array of n with -n a
+    negative discriminant, exact.  See _class_numbers_and_hurwitz."""
+    return _class_numbers_and_hurwitz(n)[0]
+
+
+def _class_numbers_and_hurwitz(n) -> tuple[np.ndarray, np.ndarray]:
+    """(h(-n), 6 * H(-n)) for each n of a strictly ascending int64 array of n
+    with -n a negative discriminant, both from one hurwitz_values call.
+
+    Moebius inversion of the square-divisor sum in the module docstring:
+    2 h(d) / w(d) = sum of mu(k) H(d/k^2) over the squarefree k with k^2 | d
+    and d/k^2 a discriminant.  hurwitz_values runs once, on the union of the
+    n/k^2 (k = 1 among them); time is about len(n) * sqrt(max n) gathers.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if n.ndim != 1 or len(n) and (n[0] < 3 or np.count_nonzero(n[1:] <= n[:-1]) or np.count_nonzero(-n % 4 > 1)):
+        raise ValueError("n must be strictly ascending, each -n a negative discriminant")
+    K = math.isqrt(int(n[-1])) if len(n) else 1
+    mu = np.ones(K + 1, dtype=np.int64)
+    for p in sieve_primes(K).tolist():
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+    mu[:2] = 0  # k = 1 is the union's n itself
+    parts = []  # (rows, n/k^2 at those rows, mu(k)) for each squarefree k >= 2
+    for k in np.flatnonzero(mu).tolist():
+        hit = np.flatnonzero(n % (k * k) == 0)
+        hit = hit[-(n[hit] // (k * k)) % 4 < 2]
+        parts.append((hit, n[hit] // (k * k), int(mu[k])))
+    union = np.unique(np.concatenate([n, *(m for _, m, _ in parts)]))
+    H6 = hurwitz_values(union)
+    big = H6[union.searchsorted(n)]
+    total = big.copy()
+    for rows, m, sign in parts:
+        total[rows] += sign * H6[union.searchsorted(m)]
+    return total * np.where(n == 3, 6, np.where(n == 4, 4, 2)) // 12, big
 
 
 def unit_count_w(d: int) -> int:

@@ -410,84 +410,61 @@ def a1_report(field, r: int, x, checkpoints=(), constant=None, workers: int = 1)
 # reduction counts at fixed primes
 
 
-def _as_degree_one_prime(field: GaloisFieldSpec, prime, root=None) -> DegreeFPrime:
-    p = prime.p if isinstance(prime, DegreeFPrime) else int(prime)
-    if p <= 3 or not is_prime(p):
-        raise ValueError(f"p={p} is not a prime greater than 3")
-    if isinstance(prime, DegreeFPrime):
-        if prime.f != 1:
-            raise ValueError("a degree-1 prime is required")
-        return prime
-    options = degree_f_primes(field, p, 1)
-    if not options:
-        raise ValueError(f"p={p} has no degree-1 primes here")
-    options.sort(key=lambda pr: pr.root)
-    if root is None:
-        return options[0]
-    for pr in options:
-        if pr.root == root % p:
-            return pr
-    raise ValueError(f"no prime above {p} with the requested root")
+def _count_reductions(field, box: CurveBox, targets: list) -> tuple[int, float]:
+    """Exact number of box models whose reduction at each degree-1 prime of
+    targets, a list of (ReducedCurve, rational prime p), is isomorphic to the
+    target there, with the main term V * prod(p - 1) / prod(p^2 * #Aut).
+
+    Above each p the degree-1 prime of least root is taken.  Each box side is
+    one bincount of its residues at all the primes read as one mixed-radix
+    code, and the product of the targets' isomorphism orbits indexes it.
+    """
+    field = _as_field(field)
+    _check_box(field, box)
+    primes = []
+    for _, p in targets:
+        p = int(p)
+        if p <= 3 or not is_prime(p):
+            raise ValueError(f"p={p} is not a prime greater than 3")
+        options = degree_f_primes(field, p, 1)
+        if not options:
+            raise ValueError(f"p={p} has no degree-1 primes here")
+        primes.append(min(options, key=lambda pr: pr.root))
+    ps = [pr.p for pr in primes]
+    if len(set(ps)) < len(ps):
+        raise ValueError("the two primes must lie over distinct rational primes")
+    orbit_a = orbit_b = np.zeros(1, dtype=np.int64)  # the orbit product's codes on each side
+    num, den = box.volume, 1
+    for (target, _), p in zip(targets, ps):
+        if target.f != 1 or target.p != p:
+            raise ValueError("target must be a prime-field curve over the same p")
+        a0, b0 = curves._as_prime_field_int(target.a, p), curves._as_prime_field_int(target.b, p)
+        if curves.is_singular(a0, b0, p):
+            raise ValueError("singular target rejected")
+        orbit = np.array(curves.isomorphism_orbit(a0, b0, p), dtype=np.int64)
+        orbit_a = (orbit_a[:, None] * p + orbit[:, 0]).ravel()
+        orbit_b = (orbit_b[:, None] * p + orbit[:, 1]).ravel()
+        num, den = num * (p - 1), den * p * p * curves.aut_size(a0, b0, p)
+    mult_a, mult_b = (
+        np.bincount(np.ravel_multi_index([_reduce(side, pr) for pr in primes], ps), minlength=math.prod(ps))
+        for side in _box_sides(box)
+    )
+    # one int / int division, so the float is correctly rounded
+    return int(mult_a[orbit_a] @ mult_b[orbit_b]), num / den
 
 
-def _validated_target(field: GaloisFieldSpec, target: ReducedCurve, pr: DegreeFPrime):
-    p = pr.p
-    if field.disc % p == 0:
-        raise ValueError("the prime must be coprime to the field discriminant")
-    if target.f != 1 or target.p != p:
-        raise ValueError("target must be a prime-field curve over the same p")
-    a0 = curves._as_prime_field_int(target.a, p)
-    b0 = curves._as_prime_field_int(target.b, p)
-    if curves.is_singular(a0, b0, p):
-        raise ValueError("singular target rejected")
-    return a0, b0
-
-
-def count_box_reductions(field, box: CurveBox, target: ReducedCurve, prime, root=None):
+def count_box_reductions(field, box: CurveBox, target: ReducedCurve, prime):
     """Exact number of box models whose reduction at the prime is isomorphic
     to the target, with the first-order prediction (p-1)*V/(p^2*#Aut).
 
     Returns the pair (exact_count, main_term).
     """
-    field = _as_field(field)
-    _check_box(field, box)
-    pr = _as_degree_one_prime(field, prime, root)
-    a0, b0 = _validated_target(field, target, pr)
-    p = pr.p
-    mult_a, mult_b = (np.bincount(_reduce(side, pr), minlength=p) for side in _box_sides(box))
-    exact = 0
-    for ua, ub in curves.isomorphism_orbit(a0, b0, p):
-        exact += int(mult_a[ua]) * int(mult_b[ub])
-    aut = curves.aut_size(a0, b0, p)
-    main = (p - 1) * box.volume / (p * p * aut)
-    return exact, main
+    return _count_reductions(field, box, [(target, prime)])
 
 
 def count_box_reductions_pair(field, box: CurveBox, target1: ReducedCurve, prime1, target2: ReducedCurve, prime2):
     """Joint version of count_box_reductions at two distinct rational primes."""
-    field = _as_field(field)
-    _check_box(field, box)
-    pr1 = _as_degree_one_prime(field, prime1)
-    pr2 = _as_degree_one_prime(field, prime2)
-    if pr1.p == pr2.p:
-        raise ValueError("the two primes must lie over distinct rational primes")
-    a1, b1 = _validated_target(field, target1, pr1)
-    a2, b2 = _validated_target(field, target2, pr2)
-    p1, p2 = pr1.p, pr2.p
-    joint_a, joint_b = (
-        np.bincount(_reduce(side, pr1) * p2 + _reduce(side, pr2), minlength=p1 * p2).reshape(p1, p2)
-        for side in _box_sides(box)
-    )
-    orbit1 = curves.isomorphism_orbit(a1, b1, p1)
-    orbit2 = curves.isomorphism_orbit(a2, b2, p2)
-    exact = 0
-    for ua1, ub1 in orbit1:
-        for ua2, ub2 in orbit2:
-            exact += int(joint_a[ua1, ua2]) * int(joint_b[ub1, ub2])
-    aut1 = curves.aut_size(a1, b1, p1)
-    aut2 = curves.aut_size(a2, b2, p2)
-    main = (p1 - 1) * (p2 - 1) * box.volume / ((p1 * p2) ** 2 * aut1 * aut2)
-    return exact, main
+    return _count_reductions(field, box, [(target1, prime1), (target2, prime2)])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from ltavg import (
     unit_count_w,
 )
 from ltavg import classnumber
-from ltavg.classnumber import hurwitz_values
+from ltavg.classnumber import class_numbers, hurwitz_values
 
 
 def test_hurwitz_spot_values():
@@ -142,6 +142,29 @@ def test_class_number_matches_primitive_forms_oracle():
     for D in range(-3, -800, -1):
         if D % 4 in (0, 1):
             assert class_number_h(D) == class_number_forms(D), D
+
+
+def test_class_numbers_match_class_number_h_and_forms():
+    # the first discriminants hold -3, -4 and the non-fundamental -12, -16, -27
+    n = np.array([m for m in range(3, 801) if m % 4 in (0, 3)], dtype=np.int64)
+    got = class_numbers(n).tolist()
+    assert got == [class_number_forms(-m) for m in n.tolist()]
+    assert got == [class_number_h(-m) for m in n.tolist()]
+
+
+def test_class_numbers_near_four_million():
+    # -4*10^6 = -2^8 * 5^6 has many square divisors; the sparse second array
+    # puts its n far apart, so the union of the n/k^2 is far from dense
+    n = np.array([m for m in range(3_999_940, 4_000_001) if m % 4 in (0, 3)], dtype=np.int64)
+    assert class_numbers(n).tolist() == [class_number_h(-m) for m in n.tolist()]
+    sparse = [3, 4, 27, 1_000_000, 3_999_999, 4_000_000]
+    assert class_numbers(sparse).tolist() == [class_number_h(-m) for m in sparse]
+
+
+@pytest.mark.parametrize("n", [[2], [5], [6], [4, 3], [3, 3], [[3, 4]]])
+def test_class_numbers_rejects_non_discriminants_and_unsorted(n):
+    with pytest.raises(ValueError):
+        class_numbers(n)
 
 
 def test_class_number_classical_values():

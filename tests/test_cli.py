@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, file emission."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from _oracles import class_number_forms, hurwitz_from_class_numbers
-from ltavg.cli import dispatch
+from ltavg.cli import _build_parser, dispatch
 
 
 def run(capsys, *argv):
@@ -106,6 +107,107 @@ def test_count_reductions_line(capsys):
     )
     assert code == 0
     assert out.startswith("exact=5 main_term=4.13")
+
+
+@pytest.mark.parametrize("pair", [
+    ["--a2", "1", "--b2", "1"],
+    ["--a2", "1", "--p2", "13"],
+    ["--b2", "1", "--p2", "13"],
+    ["--a2", "1"],
+    ["--b2", "1"],
+    ["--p2", "13"],
+])
+def test_count_reductions_incomplete_pair_exits_two(capsys, pair):
+    # the pair form needs all of --a2, --b2 and --p2; a part of them used to
+    # be ignored, printing the single count
+    code, out, err = run(
+        capsys, "count-reductions", "--a", "2", "--b", "4", "--p", "11", *pair,
+        "--box", "a1=(0);b1=(5);a2=(0);b2=(5)",
+    )
+    assert code == 2 and out == ""
+    assert "pair counting needs --a2, --b2 and --p2" in err
+
+
+def test_classnum_table_descending_range_exits_two(capsys):
+    # DMIN > DMAX used to print the header alone and exit 0
+    code, out, err = run(capsys, "classnum", "--table", "-3", "-20")
+    assert code == 2 and out == ""
+    assert "DMIN <= DMAX" in err
+
+
+@pytest.mark.parametrize("argv, line, record", [
+    (["classnum", "--D", "-12"], "4/3",
+     {"D": -12, "H_den": 3, "H_num": 4, "kind": "classnum", "schema_version": 1}),
+    (["trace", "--p", "5", "--a", "1", "--b", "1"], "-3",
+     {"f": 1, "kind": "trace", "p": 5, "schema_version": 1, "trace": -3}),
+    (["trace", "--p", "7", "--a", "1,0", "--b", "3", "--f", "2", "--modpoly", "1,0,1"], "-10",
+     {"f": 2, "kind": "trace", "p": 7, "schema_version": 1, "trace": -10}),
+    (["box-variance", "--r", "1", "--x", "200", "--box", "a1=(0);b1=(2);a2=(0);b2=(2)"], "1.5593211775630111",
+     {"C": 0.39160561227939084, "box": "a1=(0);b1=(2);a2=(0);b2=(2)", "kind": "box-variance",
+      "schema_version": 1, "variance": 1.5593211775630111, "x": 200}),
+    (["count-reductions", "--a", "2", "--b", "4", "--p", "11", "--box", "a1=(0);b1=(5);a2=(0);b2=(5)"],
+     "exact=5 main_term=4.132231404958677",
+     {"box": "a1=(0);b1=(5);a2=(0);b2=(5)", "exact": 5, "kind": "count-reductions",
+      "main_term": 4.132231404958677, "p": 11, "schema_version": 1}),
+    (["count-reductions", "--a", "2", "--b", "4", "--p", "11", "--a2", "1", "--b2", "1", "--p2", "13",
+      "--box", "a1=(0);b1=(71);a2=(0);b2=(71)"],
+     "exact=30 main_term=29.581886644823708",
+     {"box": "a1=(0);b1=(71);a2=(0);b2=(71)", "exact": 30, "kind": "count-reductions-pair",
+      "main_term": 29.581886644823708, "p": 11, "p2": 13, "schema_version": 1}),
+])
+def test_one_line_commands_stdout_and_out_record(tmp_path, capsys, argv, line, record):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == line + "\n"
+    path = tmp_path / "value.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == line + "\n" and f"wrote {path}" in err
+    assert path.read_text() == json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+# every option of every subcommand: (type, default, choices, required, nargs)
+_TEXT_OPTIONAL = (None, None, None, False, None)
+_FORMAT = (None, None, ("csv", "json"), False, None)
+_FIELD = (None, "Q", None, False, None)
+_CHECKPOINTS = (None, "", None, False, None)
+_WORKERS = (int, 1, None, False, None)
+_INT = (int, None, None, True, None)
+_INT_OPTIONAL = (int, None, None, False, None)
+_TEXT = (None, None, None, True, None)
+_PRIME_SUM = {"--field": _FIELD, "--r": _INT, "--x": _INT, "--checkpoints": _CHECKPOINTS,
+              "--workers": _WORKERS, "--format": _FORMAT, "--out": _TEXT_OPTIONAL}
+SUBCOMMAND_OPTIONS = {
+    "classnum": {"--D": _INT_OPTIONAL, "--table": (int, None, None, False, 2), "--out": _TEXT_OPTIONAL},
+    "trace": {"--p": _INT, "--a": _TEXT, "--b": _TEXT, "--f": (int, 1, None, False, None),
+              "--modpoly": _TEXT_OPTIONAL, "--out": _TEXT_OPTIONAL},
+    "constant": {"--field": _FIELD, "--r": _INT, "--method": (None, "both", ("sum", "product", "both"), False, None),
+                 "--kmax": (int, 200, None, False, None), "--nmax": (int, 5000, None, False, None),
+                 "--lmax": (int, 100_000, None, False, None), "--workers": _WORKERS, "--format": _FORMAT,
+                 "--out": _TEXT_OPTIONAL},
+    "hurwitz-sum": _PRIME_SUM,
+    "a1-average": _PRIME_SUM,
+    "box-average": {**_PRIME_SUM, "--f": (int, 1, None, False, None), "--box": _TEXT},
+    "box-variance": {"--field": _FIELD, "--r": _INT, "--x": _INT, "--workers": _WORKERS, "--box": _TEXT,
+                     "--const": (float, None, None, False, None), "--out": _TEXT_OPTIONAL},
+    "deuring-check": {"--pmax": _INT, "--format": _FORMAT, "--out": _TEXT_OPTIONAL},
+    "theta": {"--field": _FIELD, "--q": _INT, "--a": _INT, "--x": _INT, "--checkpoints": _CHECKPOINTS,
+              "--format": _FORMAT, "--out": _TEXT_OPTIONAL},
+    "count-reductions": {"--field": _FIELD, "--box": _TEXT, "--a": _INT, "--b": _INT, "--p": _INT,
+                         "--a2": _INT_OPTIONAL, "--b2": _INT_OPTIONAL, "--p2": _INT_OPTIONAL, "--out": _TEXT_OPTIONAL},
+}
+
+
+def test_subcommand_options_unchanged():
+    # read from the parser itself, so an option added, lost or retyped shows here
+    parser = _build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {
+            a.option_strings[0]: (a.type, a.default, a.choices, a.required, a.nargs)
+            for a in sub._actions if not isinstance(a, argparse._HelpAction)
+        }
+        for name, sub in subs.choices.items()
+    }
+    assert got == SUBCOMMAND_OPTIONS
 
 
 @pytest.mark.parametrize("primes", [
