@@ -176,12 +176,7 @@ def _rational_primes(field: GaloisFieldSpec, f: int, x: int, r: int) -> list[int
         raise ValueError("degree f must be positive")
     if f == 1:
         return admissible_primes(field, x, r)
-    top = int(round(x ** (1.0 / f)))
-    while (top + 1) ** f <= x:
-        top += 1
-    while top > 1 and top**f > x:
-        top -= 1
-    return [p for p in sieve_primes(top).tolist() if p > 3 and field.disc % p != 0]
+    return [p for p in sieve_primes(isqrt(x)).tolist() if p**f <= x and p > 3 and field.disc % p != 0]
 
 
 def _model_coordinate_matrix(centers, radii) -> np.ndarray:
@@ -266,7 +261,7 @@ def pi_E_rf(field, curve: CurveModel, r: int, f: int, x) -> int:
 # experiment runners
 
 
-def box_average(field, box: CurveBox, r: int, f: int, x, checkpoints=(), constant=None, workers: int = 1) -> ExperimentReport:
+def box_average(field, box: CurveBox, r: int, f: int, x, checkpoints=(), workers: int = 1) -> ExperimentReport:
     """Average prime count over the box, compared for f=1 against the
     predicted multiple of pi_half at each checkpoint."""
     started = time.time()
@@ -276,10 +271,7 @@ def box_average(field, box: CurveBox, r: int, f: int, x, checkpoints=(), constan
     xs = _merge_checkpoints(x, checkpoints)
     A, B = _box_sides(box)
     per_prime = _map_primes(_count_worker, _rational_primes(field, f, x, r), workers, field=field, A=A, B=B, r=r, f=f)
-    if f > 1:
-        constant = None
-    elif constant is None:
-        constant = constant_product(field, r)
+    constant = constant_product(field, r) if f == 1 else None
     per_prime.sort()
     card = box.cardinality
     cums = list(accumulate((c for _, c in per_prime), initial=0))
@@ -337,7 +329,7 @@ def _tree_sum(pairs: list) -> tuple[int, int]:
     return pairs[0]
 
 
-def hurwitz_sum_report(field, r: int, x, checkpoints=(), constant=None, workers: int = 1) -> ExperimentReport:
+def hurwitz_sum_report(field, r: int, x, checkpoints=(), workers: int = 1) -> ExperimentReport:
     """Exact-rational accumulation of H(r^2-4p)/p over admissible split primes
     up to each checkpoint, scaled by half the field degree.  The sum reads
     one hurwitz_values entry per prime, so workers is accepted and ignored."""
@@ -348,8 +340,7 @@ def hurwitz_sum_report(field, r: int, x, checkpoints=(), constant=None, workers:
         raise ValueError("x must be at least 7")
     xs = _merge_checkpoints(x, checkpoints)
     parts = _hurwitz_parts(field, r, x)
-    if constant is None:
-        constant = constant_product(field, r)
+    constant = constant_product(field, r)
     rows = []
     num, den = 0, 1
     ends = _checkpoint_ends([p for p, _, _ in parts], xs)
@@ -380,7 +371,7 @@ def _a1_parts(field: GaloisFieldSpec, r: int, x: int) -> list:
     ]
 
 
-def a1_report(field, r: int, x, checkpoints=(), constant=None, workers: int = 1) -> ExperimentReport:
+def a1_report(field, r: int, x, checkpoints=(), workers: int = 1) -> ExperimentReport:
     """The degree-weighted average of L(1, chi) over admissible primes up to
     each checkpoint and square divisors of 4p - r^2; workers is ignored."""
     started = time.time()
@@ -390,8 +381,7 @@ def a1_report(field, r: int, x, checkpoints=(), constant=None, workers: int = 1)
         raise ValueError("x must be at least 7")
     xs = _merge_checkpoints(x, checkpoints)
     parts = _a1_parts(field, r, x)
-    if constant is None:
-        constant = constant_product(field, r)
+    constant = constant_product(field, r)
     rows = []
     terms = [t for _, t in parts]
     for xc, end in zip(xs, _checkpoint_ends([p for p, _ in parts], xs)):

@@ -98,13 +98,6 @@ def gcd(f: Poly, g: Poly, p: int) -> Poly:
     return monic(f, p)
 
 
-def evaluate(f: Poly, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def x_pow_p_mod(h: Poly, p: int) -> Poly:
     """x^p mod (h, p), the Frobenius image of x."""
     return powmod((0, 1), p, h, p)
@@ -117,28 +110,11 @@ def roots(f: Poly, p: int) -> list[int]:
         return []
     if degree(f) == 1:
         return [(-f[0]) % p]
-    # restrict to the product of distinct linear factors
+    # the product of the distinct linear factors, gcd(f, x^p - x)
     lin = gcd(f, add(x_pow_p_mod(f, p), (0, p - 1), p), p)
-    return sorted(_linear_roots(lin, p))
-
-
-def _linear_roots(f: Poly, p: int) -> list[int]:
-    d = degree(f)
-    if d <= 0:
+    if degree(lin) <= 0:
         return []
-    if d == 1:
-        return [(-f[0]) * pow(f[1], -1, p) % p]
-    if p <= 64:
-        return [x for x in range(p) if evaluate(f, x, p) == 0]
-    if evaluate(f, 0, p) == 0:
-        rs = _linear_roots(divmod_(f, (0, 1), p)[0], p)
-        return rs + [0]
-    # Cantor-Zassenhaus split with a deterministic shift sweep
-    for c in range(p):
-        g = gcd(f, add(powmod((c, 1), (p - 1) // 2, f, p), (p - 1,), p), p)
-        if 0 < degree(g) < d:
-            return _linear_roots(g, p) + _linear_roots(divmod_(f, g, p)[0], p)
-    raise RuntimeError(f"root splitting failed mod {p}")  # unreachable for squarefree input
+    return sorted((-g[0]) % p for g in equal_degree_factor(lin, 1, p))
 
 
 def distinct_degree_factor(f: Poly, p: int) -> list[tuple[int, Poly]]:
@@ -169,8 +145,6 @@ def equal_degree_factor(f: Poly, d: int, p: int) -> list[Poly]:
     n = degree(f)
     if n == d:
         return [monic(f, p)]
-    if d == 1:
-        return [((p - r) % p, 1) for r in sorted(_linear_roots(f, p))]
     exps = (p**d - 1) // 2 if p != 2 else None
     for t in _candidate_polys(d, p):
         if p == 2:

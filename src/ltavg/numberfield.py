@@ -19,8 +19,7 @@ import sympy for its irreducibility test.
 The cyclotomic invariants (m_K, n_A, G_mK) describe the maximal abelian
 subfield A: n_A = [A:Q], m_K its conductor, and G_mK the group of residues
 mod m_K hit by the norms of split primes. They are measured empirically from
-split-prime residues, never assumed from theory, unless explicit overrides
-are supplied.
+split-prime residues, never assumed from theory.
 """
 from __future__ import annotations
 
@@ -82,7 +81,6 @@ class GaloisFieldSpec:
     m_K: int
     n_A: int
     G_mK: frozenset[int]
-    overrides_used: bool = False
     _split_bound: int = 0
     _split_list: np.ndarray = dc_field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
@@ -204,23 +202,19 @@ def empirical_norm_residues(field: GaloisFieldSpec, q: int, p_budget: int) -> fr
 
 
 def abelian_invariants(
-    field: GaloisFieldSpec,
-    p_budget: int | None = None,
-    max_modulus: int = DEFAULT_MAX_MODULUS,
+    field: GaloisFieldSpec, max_modulus: int = DEFAULT_MAX_MODULUS
 ) -> tuple[int, int, frozenset[int]]:
     """Measure (m_K, n_A, G_mK) from split-prime residues.
 
-    Candidate moduli q run over divisors of 4*|disc(poly)| up to max_modulus.
+    Candidate moduli q run over divisors of 4*|disc(poly)| up to max_modulus,
+    and the split primes run up to max(20000, 100 * max candidate).
     For each, the empirical index I(q) = phi(q)/|G_q| is computed at half and
     full budget; unstable candidates are discarded. n_A is the maximal stable
-    index, m_K the least q attaining it. Raises if nothing stable remains
-    (supply overrides in that case).
+    index, m_K the least q attaining it. Raises RuntimeError if nothing stable
+    remains: such a field needs more split primes than this budget.
     """
     cands = [q for q in divisors_from_factors(factorize_slow(4 * abs(field.disc))) if q <= max_modulus]
-    if p_budget is None:
-        p_budget = max(20000, 100 * max(cands))
-    if p_budget < 100 * max(cands):
-        raise ValueError(f"p_budget must be >= 100 * max candidate modulus ({100 * max(cands)})")
+    p_budget = max(20000, 100 * max(cands))
     ps_full = field.split_primes(p_budget)
     half = p_budget // 2
     best: dict[int, tuple[int, frozenset[int]]] = {}
@@ -237,8 +231,8 @@ def abelian_invariants(
         best[q] = (phi_q // len(g_full), g_full)
     if not best:
         raise RuntimeError(
-            "no candidate modulus gave a stable residue group; "
-            "increase p_budget/max_modulus or supply overrides (m_K, n_A, G_mK)"
+            f"no candidate modulus up to {max_modulus} gave a stable residue group "
+            f"from the split primes up to {p_budget}"
         )
     n_A = max(idx for idx, _ in best.values())
     m_K = min(q for q, (idx, _) in best.items() if idx == n_A)
@@ -304,31 +298,33 @@ def _check_galois_degrees(patterns) -> None:
         raise RuntimeError("not enough probe primes below 4000")  # unreachable for sane inputs
 
 
-def parse_field(
-    source,
-    name: str | None = None,
-    p_budget: int | None = None,
-    max_modulus: int = DEFAULT_MAX_MODULUS,
-    overrides: dict | None = None,
-) -> GaloisFieldSpec:
+def parse_field(source) -> GaloisFieldSpec:
     """Build a GaloisFieldSpec from a preset name, a JSON file path, or coefficients.
 
-    source: preset key in PRESETS, a path to a JSON file {"name", "poly",
-    "overrides"?}, or an iterable of integer coefficients (low -> high, monic).
+    source: a preset key in PRESETS, a path to a JSON file {"name", "poly"},
+    or an iterable of integer coefficients (low -> high, monic), named "field".
+    A source that is neither a preset nor a readable field file is a ValueError.
     """
-    if isinstance(source, str):
-        if source in PRESETS:
-            cap = min(max_modulus, _PRESET_MAX_MODULUS.get(source, max_modulus))
-            return _build_field(PRESETS[source], name or source, p_budget, cap, overrides)
+    if not isinstance(source, str):
+        return _build_field(tuple(source), "field", DEFAULT_MAX_MODULUS)
+    if source in PRESETS:
+        return _build_field(PRESETS[source], source, _PRESET_MAX_MODULUS.get(source, DEFAULT_MAX_MODULUS))
+    try:
         with open(source) as fh:
             data = json.load(fh)
-        ov = data.get("overrides")
-        if overrides:
-            ov = {**(ov or {}), **overrides}
-        return _build_field(
-            tuple(data["poly"]), name or data.get("name", "field"), p_budget, max_modulus, ov
-        )
-    return _build_field(tuple(source), name or "field", p_budget, max_modulus, overrides)
+    except OSError as exc:
+        raise ValueError(
+            f"field {source!r} is neither a preset ({', '.join(PRESETS)}) nor a readable file: {exc.strerror}"
+        ) from None
+    if not (
+        isinstance(data, dict)
+        and set(data) <= {"name", "poly"}
+        and isinstance(data.get("poly"), list)
+        and all(isinstance(c, (int, float)) for c in data["poly"])
+        and isinstance(data.get("name", ""), str)
+    ):
+        raise ValueError(f'field file {source!r} must be a JSON object of a number list "poly" and optionally a string "name"')
+    return _build_field(tuple(data["poly"]), data.get("name", "field"), DEFAULT_MAX_MODULUS)
 
 
 def _as_field(field) -> GaloisFieldSpec:
@@ -342,9 +338,11 @@ def _as_field(field) -> GaloisFieldSpec:
 _field_memo: dict[tuple, GaloisFieldSpec] = {}
 
 
-def _build_field(poly, name, p_budget, max_modulus, overrides) -> GaloisFieldSpec:
+def _build_field(poly, name, max_modulus) -> GaloisFieldSpec:
+    if any(int(c) != c for c in poly):
+        raise ValueError("poly coefficients must be integers")
     poly = tuple(int(c) for c in poly)
-    key = (poly, name, p_budget, max_modulus, bool(overrides) and tuple(sorted(overrides.items(), key=str)))
+    key = (poly, name)
     got = _field_memo.get(key)
     if got is not None:
         return got
@@ -364,15 +362,8 @@ def _build_field(poly, name, p_budget, max_modulus, overrides) -> GaloisFieldSpe
     spec = GaloisFieldSpec(
         name=name, poly=poly, n_K=n_K, disc=disc, m_K=1, n_A=1, G_mK=frozenset({1})
     )
-    if overrides:
-        spec.m_K = int(overrides["m_K"])
-        spec.n_A = int(overrides["n_A"])
-        spec.G_mK = frozenset(int(v) for v in overrides["G_mK"])
-        spec.overrides_used = True
-    elif n_K == 1:
-        spec.m_K, spec.n_A, spec.G_mK = 1, 1, frozenset({1})
-    else:
-        spec.m_K, spec.n_A, spec.G_mK = abelian_invariants(spec, p_budget, max_modulus)
+    if n_K > 1:
+        spec.m_K, spec.n_A, spec.G_mK = abelian_invariants(spec, max_modulus)
     _validate_group(spec)
     _field_memo[key] = spec
     return spec

@@ -44,19 +44,6 @@ def phi_sieve(bound: int) -> np.ndarray:
     return phi
 
 
-def factorize(n: int, spf: np.ndarray) -> dict[int, int]:
-    """Prime factorization of n >= 1 using a precomputed spf table."""
-    out: dict[int, int] = {}
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out[p] = e
-    return out
-
-
 def factorize_slow(n: int) -> dict[int, int]:
     """Trial-division factorization, for the occasional value above any sieve."""
     out: dict[int, int] = {}

@@ -245,6 +245,23 @@ def test_theta_notes_residue_outside_group(capsys):
     assert "not an empirical norm class" in err
 
 
+@pytest.mark.parametrize("text, match", [
+    (None, "neither a preset"),  # an unknown name that is not a file
+    ('{"name": "gi"}', "list \"poly\""),
+    ('{"name": "gi", "poly": [1, 0, 1], "overrides": {"m_K": 4, "n_A": 2, "G_mK": [1]}}', "list \"poly\""),
+    ('{"name": "gi", "poly": [1, 0, 1.5]}', "integers"),  # was read as x^2 + 1
+    ('{"name": "gi", "poly": [[1], 0, 1]}', "list \"poly\""),
+    ('{"name": "gi", "poly": [1, 0, 1', "Expecting"),  # malformed JSON
+])
+def test_bad_field_exits_one_with_error_line(tmp_path, capsys, text, match):
+    path = tmp_path / "field.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "theta", "--field", str(path), "--q", "5", "--a", "2", "--x", "100")
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 1 and out == "" and len(errors) == 1 and match in errors[0], err
+
+
 def test_deuring_check_exit_zero(capsys):
     code, out, _ = run(capsys, "deuring-check", "--pmax", "40", "--format", "csv")
     assert code == 0

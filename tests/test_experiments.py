@@ -139,8 +139,8 @@ def test_hurwitz_sum_report_matches_plain_fraction_sum():
     for name in ("Q", "Q_i", "Q_zeta5"):
         field = parse_field(name)
         for r in (0, 1, -3):
-            constant = constant_product(field, r, L_max=2000)
-            rep = hurwitz_sum_report(field, r, 4000, checkpoints=(11, 1000, 2777), constant=constant)
+            constant = constant_product(field, r)
+            rep = hurwitz_sum_report(field, r, 4000, checkpoints=(11, 1000, 2777))
             parts = _hurwitz_parts(field, r, 4000)
             rows = []
             for xc in (11, 1000, 2777, 4000):

@@ -35,16 +35,6 @@ def test_divmod_invariant():
         assert gfpoly.add(gfpoly.mul(q, g, p), r, p) == f
 
 
-def test_evaluate_is_horner_of_coefficients():
-    rng = random.Random(7)
-    for _ in range(50):
-        p = rng.choice((5, 7, 13))
-        f = _rand_poly(rng, p, 6)
-        x = rng.randrange(p)
-        direct = sum(c * pow(x, i, p) for i, c in enumerate(f)) % p
-        assert gfpoly.evaluate(f, x, p) == direct
-
-
 def test_powmod_matches_repeated_mulmod():
     rng = random.Random(8)
     for _ in range(20):
@@ -74,6 +64,26 @@ def test_roots_of_degree_one():
             f = (rng.randrange(-3 * p, 3 * p), rng.randrange(1, p))
             assert gfpoly.roots(f, p) == [x for x in range(p) if (f[0] + f[1] * x) % p == 0], (f, p)
     assert gfpoly.roots((0, 1), 13) == [0]
+
+
+def test_roots_match_brute_force():
+    # random polynomials of degree <= 7, and products of distinct linear
+    # factors times a random cofactor, at every p < 70 and a few larger p
+    rng = random.Random(13)
+    small = [p for p in range(2, 70) if all(p % d for d in range(2, p))]
+    for p in small + [97, 389, 1009, 2999]:
+        for trial in range(30):
+            if trial % 2:
+                f = (1,)
+                for r in rng.sample(range(p), min(p, rng.randint(1, 5))):
+                    f = gfpoly.mul(f, ((-r) % p, 1), p)
+                f = gfpoly.mul(f, _rand_poly(rng, p, 7 - gfpoly.degree(f)), p)
+            else:
+                f = _rand_poly(rng, p, 7)
+            if gfpoly.degree(f) < 1:
+                continue
+            want = [x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(f)) % p == 0]
+            assert gfpoly.roots(f, p) == want, (f, p)
 
 
 def test_factor_squarefree_known():

@@ -27,12 +27,8 @@ def test_preset_invariants():
     assert parse_field("Q_zeta5").m_K == 5
 
 
-def test_parse_field_name_override():
-    assert parse_field("Q_i", name="gauss").name == "gauss"
-
-
 def test_parse_field_rejects_unknown():
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="neither a preset"):
         parse_field("no_such_field")
 
 

@@ -21,19 +21,22 @@ def test_sieve_edges():
 
 
 def test_spf_factorization_reconstructs():
+    # spf[n] is the least prime factor of n, so dividing it out repeatedly
+    # walks through the factorization
     spf = primes.spf_sieve(5_000)
-    for n in range(2, 5_000):
-        prod = 1
-        for p, e in primes.factorize(n, spf).items():
-            assert primes.is_prime(p)
-            prod *= p**e
-        assert prod == n
+    assert spf[1] == 1
+    for n in range(2, 5_001):
+        assert int(spf[n]) == min(sympy.factorint(n)), n
+        fac, m = {}, n
+        while m > 1:
+            fac[int(spf[m])] = fac.get(int(spf[m]), 0) + 1
+            m //= int(spf[m])
+        assert fac == sympy.factorint(n), n
 
 
 def test_factorize_slow_agrees():
-    spf = primes.spf_sieve(600)
-    for n in range(2, 600):
-        assert primes.factorize_slow(n) == primes.factorize(n, spf)
+    for n in range(2, 5_000):
+        assert primes.factorize_slow(n) == sympy.factorint(n), n
 
 
 def test_is_prime_matches_sympy():
@@ -50,15 +53,13 @@ def test_phi_sieve_matches_sympy():
 
 
 def test_phi_from_factors():
-    spf = primes.spf_sieve(1_000)
     for n in (1, 2, 12, 97, 360, 1000):
-        fac = primes.factorize(n, spf) if n > 1 else {}
+        fac = primes.factorize_slow(n)
         assert primes.phi_from_factors(fac) == sympy.totient(n)
 
 
 def test_divisors_from_factors():
-    spf = primes.spf_sieve(1_000)
     assert primes.divisors_from_factors({}) == [1]
     for n in (12, 360, 720, 997):
-        got = sorted(primes.divisors_from_factors(primes.factorize(n, spf)))
+        got = sorted(primes.divisors_from_factors(primes.factorize_slow(n)))
         assert got == sympy.divisors(n)
