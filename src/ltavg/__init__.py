@@ -4,10 +4,8 @@ desk-scale experiment runners."""
 
 from .classnumber import (
     L1_formula,
-    L1_series,
     class_number_h,
     hurwitz_H,
-    is_fundamental,
     is_valid_discriminant,
     kronecker,
     unit_count_w,
@@ -59,7 +57,6 @@ __all__ = [
     "ExperimentReport",
     "GaloisFieldSpec",
     "L1_formula",
-    "L1_series",
     "ReducedCurve",
     "SmallField",
     "aut_size",
@@ -75,7 +72,6 @@ __all__ = [
     "empirical_norm_residues",
     "finite_product_factor",
     "hurwitz_H",
-    "is_fundamental",
     "is_valid_discriminant",
     "isogeny_mass_oracle",
     "isomorphism_orbit",

@@ -7,7 +7,8 @@ hurwitz_values), which by content is a sum over square divisors:
 
     H(D) = 2 * sum over k with k^2 | D, D/k^2 = 0 or 1 mod 4, of h(D/k^2) / w(D/k^2)
 
-where w(-3) = 6, w(-4) = 4, and w(d) = 2 otherwise. Both are exact; H is a
+where w(-3) = 6, w(-4) = 4, and w(d) = 2 otherwise.  class_numbers inverts
+that sum, so every h here comes from hurwitz_values.  Both are exact; H is a
 Fraction with denominator dividing 6.
 """
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .primes import factorize_slow, sieve_primes
+from .primes import sieve_primes
 
 _KRON2 = (0, 1, 0, -1, 0, -1, 0, 1)  # (a/2) indexed by a mod 8
 
@@ -61,55 +62,21 @@ def is_valid_discriminant(d: int) -> bool:
     return d < 0 and d % 4 in (0, 1)
 
 
-def is_fundamental(d: int) -> bool:
-    """True for fundamental negative discriminants."""
-    if not is_valid_discriminant(d):
-        return False
-    if d % 4 == 1:
-        return _squarefree(-d)
-    m = d // 4
-    return m % 4 in (2, 3) and _squarefree(-m)
-
-
-def _squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorize_slow(n).values())
-
-
 def class_number_h(d: int) -> int:
-    """h(d): primitive reduced forms of discriminant d < 0, d = 0 or 1 mod 4."""
+    """h(d): primitive reduced forms of discriminant d < 0, d = 0 or 1 mod 4,
+    read from class_numbers.  Memoised."""
     if not is_valid_discriminant(d):
         raise ValueError(f"{d} is not a negative discriminant")
     got = _h_memo.get(d)
     if got is not None:
         return got
-    # enumerate a = 1..sqrt(|d|/3), -a < b <= a as one ragged grid
-    amax = math.isqrt(-d // 3)
-    a = np.arange(1, amax + 1, dtype=np.int64)
-    lens = 2 * a
-    tot = int(lens.sum())
-    A = np.repeat(a, lens)
-    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    B = np.arange(tot, dtype=np.int64) - np.repeat(starts, lens) - A + 1
-    num = B * B - d
-    mask = (B - d) % 2 == 0
-    mask &= num % (4 * A) == 0
-    C = num // (4 * A)
-    mask &= C >= A
-    mask &= ~((A == C) & (B < 0))
-    Am, Bm, Cm = A[mask], B[mask], C[mask]
-    g = np.gcd(np.gcd(Am, np.abs(Bm)), Cm)
-    return _remember(_h_memo, d, int(np.count_nonzero(g == 1)))
+    return _remember(_h_memo, d, int(class_numbers([-d])[0][0]))
 
 
-def class_numbers(n) -> np.ndarray:
-    """h(-n) for each n of a strictly ascending int64 array of n with -n a
-    negative discriminant, exact.  See _class_numbers_and_hurwitz."""
-    return _class_numbers_and_hurwitz(n)[0]
-
-
-def _class_numbers_and_hurwitz(n) -> tuple[np.ndarray, np.ndarray]:
+def class_numbers(n) -> tuple[np.ndarray, np.ndarray]:
     """(h(-n), 6 * H(-n)) for each n of a strictly ascending int64 array of n
-    with -n a negative discriminant, both from one hurwitz_values call.
+    with -n a negative discriminant, both exact and from one hurwitz_values
+    call.
 
     Moebius inversion of the square-divisor sum in the module docstring:
     2 h(d) / w(d) = sum of mu(k) H(d/k^2) over the squarefree k with k^2 | d
@@ -236,32 +203,3 @@ def L1_formula(d: int) -> float:
     primitive reduced forms of discriminant exactly d.
     """
     return 2.0 * math.pi * class_number_h(d) / (unit_count_w(d) * math.sqrt(-d))
-
-
-def L1_series(d: int, eps: float) -> float:
-    """L(1, (d/.)) by direct summation of sum_n (d/n)/n, within eps of the limit.
-
-    (d/.) is periodic with period q = |d| and, since d < 0, odd, so its sums
-    over a full period vanish and the partial sums S(t) are periodic. Abel
-    summation bounds the tail cut at N by max_t |S(t)| / (N+1); the max is
-    computed exactly over one period (it never exceeds the Polya-Vinogradov
-    bound sqrt(q) log q). We take N = max(ceil(maxS/eps), 2q).
-    """
-    if not is_valid_discriminant(d):
-        raise ValueError(f"{d} is not a negative discriminant")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    q = -d
-    chi = np.array([kronecker(d, n) for n in range(q)], dtype=np.int64)
-    psums = np.cumsum(chi)
-    if psums[-1] != 0:
-        raise ArithmeticError(f"character (d/.) for d={d} is not balanced over its period")
-    max_s = int(np.max(np.abs(psums)))
-    N = max(math.ceil(max_s / eps), 2 * q, 16)
-    partials = []
-    chunk = 1 << 20
-    for lo in range(1, N + 1, chunk):
-        hi = min(lo + chunk - 1, N)
-        n = np.arange(lo, hi + 1, dtype=np.int64)
-        partials.append(float(np.sum(chi[n % q] / n)))
-    return math.fsum(partials)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import experiments
-from .classnumber import _class_numbers_and_hurwitz, hurwitz_H, is_valid_discriminant, unit_count_w
+from .classnumber import class_numbers, hurwitz_H, is_valid_discriminant, unit_count_w
 from .curves import ReducedCurve, trace_mod_q
 from .experiments import CurveBox
 from .ltconstant import constant_product
@@ -77,7 +77,7 @@ def _run_classnum(args):
         return 2
     # both columns come from one hurwitz_values call, which wants ascending n = -d
     n = np.array([-d for d in range(dmax, dmin - 1, -1) if is_valid_discriminant(d)], dtype=np.int64)
-    h, H6 = _class_numbers_and_hurwitz(n)
+    h, H6 = class_numbers(n)
     lines = ["D,h,w,H_num,H_den"]
     for m, hm, h6 in zip(n[::-1].tolist(), h[::-1].tolist(), H6[::-1].tolist()):
         big = Fraction(h6, 6)

@@ -19,7 +19,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .classnumber import kronecker
+from .classnumber import _KRON2, kronecker
 from .curves import quadratic_character
 from .numberfield import _as_field
 from .primes import factorize_slow, phi_from_factors, phi_sieve, sieve_primes
@@ -183,37 +183,13 @@ def constant_product(field, r: int, L_max: int = 100_000) -> ConstantEstimate:
     return ConstantEstimate(value, "product", {"L_max": L_max}, tail, field.name, r)
 
 
-def c_coefficient(k: int, n: int, r: int, b: int, m: int) -> int:
-    """Character sum over admissible residues a mod 4n, by direct enumeration.
-
-    Counts a with a = 0, 1 mod 4 whose shifted value r^2 - a k^2 has gcd
-    exactly 4 with 4 n k^2 and hits the residue 4b modulo gcd(4m, 4nk^2),
-    each weighted by the Kronecker symbol (a|n).
-    """
-    if k < 1 or n < 1 or m < 1:
-        raise ValueError("k, n, m must be positive")
-    if math.gcd(b, m) != 1:
-        raise ValueError("b must be a unit modulo m")
-    k2 = k * k
-    mod_big = 4 * math.gcd(m, n * k2)
-    total = 0
-    for a in range(4 * n):
-        if a % 4 > 1:
-            continue
-        x = r * r - a * k2
-        if math.gcd(x, 4 * n * k2) != 4:
-            continue
-        if (x - 4 * b) % mod_big != 0:
-            continue
-        total += kronecker(a, n)
-    return total
-
-
-_KRON2 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int64)  # (a|2) by a mod 8
+_KRON2_TABLE = np.array(_KRON2, dtype=np.int64)  # (a|2) by a mod 8
 
 
 def _c_prime_power(k: int, p: int, e: int, r: int, b: int, m: int) -> int:
-    """c_coefficient(k, p^e, r, b, m), its definition vectorised over a mod 4 p^e."""
+    """c(k, p^e, r, b, m): the sum of (a|p^e) over the a mod 4 p^e with a = 0, 1
+    mod 4 whose shifted value r^2 - a k^2 has gcd exactly 4 with 4 p^e k^2 and
+    hits 4b modulo gcd(4m, 4 p^e k^2), vectorised over a."""
     q = p**e
     k2 = k * k
     a = np.arange(4 * q, dtype=np.int64)
@@ -221,7 +197,7 @@ def _c_prime_power(k: int, p: int, e: int, r: int, b: int, m: int) -> int:
     x = r * r - a * k2
     a = a[(np.gcd(x, 4 * q * k2) == 4) & ((x - 4 * b) % (4 * math.gcd(m, q * k2)) == 0)]
     if p == 2:
-        return int((_KRON2[a % 8] ** e).sum())
+        return int((_KRON2_TABLE[a % 8] ** e).sum())
     # int8 Legendre values; sum() accumulates them in the platform integer
     return int((quadratic_character(p)[a % p] ** e).sum())
 

@@ -2,17 +2,23 @@
 
 Everything here recomputes a quantity from first principles by a different
 route than the package code, so agreement between the two is meaningful.
+Among them are references that the package no longer ships, since only the
+tests call them: class_number_grid (h(d) from one ragged grid of reduced
+forms, where the package inverts its Hurwitz values), L1_series (L(1, chi_d)
+by direct summation), is_fundamental, and c_coefficient (the enumeration
+that ltconstant's series coefficients are checked against).
 """
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
 from ltavg import gfpoly
-from ltavg.classnumber import class_number_h, unit_count_w
+from ltavg.classnumber import is_valid_discriminant, kronecker, unit_count_w
 from ltavg.primes import factorize_slow
 
 
@@ -79,23 +85,44 @@ def _square_divisor_roots(n):
     return sorted(ks)
 
 
+def class_number_grid(d):
+    """h(d): primitive reduced forms of discriminant d < 0, d = 0 or 1 mod 4,
+    counted on one ragged grid of a = 1..sqrt(|d|/3), -a < b <= a."""
+    if not is_valid_discriminant(d):
+        raise ValueError(f"{d} is not a negative discriminant")
+    amax = math.isqrt(-d // 3)
+    a = np.arange(1, amax + 1, dtype=np.int64)
+    lens = 2 * a
+    tot = int(lens.sum())
+    A = np.repeat(a, lens)
+    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+    B = np.arange(tot, dtype=np.int64) - np.repeat(starts, lens) - A + 1
+    num = B * B - d
+    mask = (B - d) % 2 == 0
+    mask &= num % (4 * A) == 0
+    C = num // (4 * A)
+    mask &= C >= A
+    mask &= ~((A == C) & (B < 0))
+    Am, Bm, Cm = A[mask], B[mask], C[mask]
+    g = np.gcd(np.gcd(Am, np.abs(Bm)), Cm)
+    return int(np.count_nonzero(g == 1))
+
+
 def hurwitz_from_class_numbers(D):
     """H(D) as 2 * sum of h(d) / w(d) over d = D/k^2, k^2 | D, d = 0 or 1
-    mod 4: primitive forms counted by class_number_h, one order at a time."""
+    mod 4: primitive forms counted by class_number_grid, one order at a time."""
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"{D} is not a negative discriminant")
     total = Fraction(0)
     for k in _square_divisor_roots(-D):
         d = D // (k * k)
         if d % 4 in (0, 1):
-            total += Fraction(class_number_h(d), unit_count_w(d))
+            total += Fraction(class_number_grid(d), unit_count_w(d))
     return 2 * total
 
 
 def class_number_forms(D):
     """Number of reduced primitive forms of discriminant D, i.e. h(D)."""
-    import math
-
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"{D} is not a negative discriminant")
     count = 0
@@ -114,6 +141,75 @@ def class_number_forms(D):
                 count += 1
         a += 1
     return count
+
+
+def is_fundamental(d):
+    """True for fundamental negative discriminants."""
+    if not is_valid_discriminant(d):
+        return False
+    if d % 4 == 1:
+        return _squarefree(-d)
+    m = d // 4
+    return m % 4 in (2, 3) and _squarefree(-m)
+
+
+def _squarefree(n):
+    return all(e == 1 for e in factorize_slow(n).values())
+
+
+def L1_series(d, eps):
+    """L(1, (d/.)) by direct summation of sum_n (d/n)/n, within eps of the limit.
+
+    (d/.) is periodic with period q = |d| and, since d < 0, odd, so its sums
+    over a full period vanish and the partial sums S(t) are periodic. Abel
+    summation bounds the tail cut at N by max_t |S(t)| / (N+1); the max is
+    computed exactly over one period (it never exceeds the Polya-Vinogradov
+    bound sqrt(q) log q). We take N = max(ceil(maxS/eps), 2q).
+    """
+    if not is_valid_discriminant(d):
+        raise ValueError(f"{d} is not a negative discriminant")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    q = -d
+    chi = np.array([kronecker(d, n) for n in range(q)], dtype=np.int64)
+    psums = np.cumsum(chi)
+    if psums[-1] != 0:
+        raise ArithmeticError(f"character (d/.) for d={d} is not balanced over its period")
+    max_s = int(np.max(np.abs(psums)))
+    N = max(math.ceil(max_s / eps), 2 * q, 16)
+    partials = []
+    chunk = 1 << 20
+    for lo in range(1, N + 1, chunk):
+        hi = min(lo + chunk - 1, N)
+        n = np.arange(lo, hi + 1, dtype=np.int64)
+        partials.append(float(np.sum(chi[n % q] / n)))
+    return math.fsum(partials)
+
+
+def c_coefficient(k, n, r, b, m):
+    """Character sum over admissible residues a mod 4n, by direct enumeration.
+
+    Counts a with a = 0, 1 mod 4 whose shifted value r^2 - a k^2 has gcd
+    exactly 4 with 4 n k^2 and hits the residue 4b modulo gcd(4m, 4nk^2),
+    each weighted by the Kronecker symbol (a|n).
+    """
+    if k < 1 or n < 1 or m < 1:
+        raise ValueError("k, n, m must be positive")
+    if math.gcd(b, m) != 1:
+        raise ValueError("b must be a unit modulo m")
+    k2 = k * k
+    mod_big = 4 * math.gcd(m, n * k2)
+    total = 0
+    for a in range(4 * n):
+        if a % 4 > 1:
+            continue
+        x = r * r - a * k2
+        if math.gcd(x, 4 * n * k2) != 4:
+            continue
+        if (x - 4 * b) % mod_big != 0:
+            continue
+        total += kronecker(a, n)
+    return total
 
 
 def pi_half_quad(x):

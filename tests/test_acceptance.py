@@ -16,17 +16,15 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import record_criterion
-from _oracles import hurwitz_all_forms
+from _oracles import L1_series, hurwitz_all_forms, is_fundamental
 from ltavg import (
     CurveBox,
     L1_formula,
-    L1_series,
     aut_size,
     box_average,
     count_box_reductions,
     empirical_norm_residues,
     hurwitz_H,
-    is_fundamental,
     isogeny_mass_oracle,
     local_factor_2,
     parse_field,

@@ -1,8 +1,9 @@
 """Class numbers, Kronecker symbol, and L-values at s=1.
 
 The reduced-forms oracles live in _oracles and recount everything by direct
-form enumeration; _oracles.hurwitz_from_class_numbers sums class numbers over
-square divisors, independent of the package's count of all reduced forms.
+form enumeration; _oracles.hurwitz_from_class_numbers sums the class numbers
+of _oracles.class_number_grid over square divisors, independent of the
+package's count of all reduced forms and of its Moebius inversion of it.
 """
 
 import math
@@ -13,13 +14,19 @@ import numpy as np
 import pytest
 import sympy
 
-from _oracles import class_number_forms, hurwitz_all_forms, hurwitz_from_class_numbers, hurwitz_sweep
+from _oracles import (
+    L1_series,
+    class_number_forms,
+    class_number_grid,
+    hurwitz_all_forms,
+    hurwitz_from_class_numbers,
+    hurwitz_sweep,
+    is_fundamental,
+)
 from ltavg import (
     L1_formula,
-    L1_series,
     class_number_h,
     hurwitz_H,
-    is_fundamental,
     is_valid_discriminant,
     kronecker,
     unit_count_w,
@@ -141,24 +148,29 @@ def test_hurwitz_rejects_non_discriminants():
 def test_class_number_matches_primitive_forms_oracle():
     for D in range(-3, -800, -1):
         if D % 4 in (0, 1):
-            assert class_number_h(D) == class_number_forms(D), D
+            want = class_number_forms(D)
+            assert class_number_h(D) == want, D
+            assert class_number_grid(D) == want, D
 
 
-def test_class_numbers_match_class_number_h_and_forms():
+def test_class_numbers_match_grid_and_forms():
     # the first discriminants hold -3, -4 and the non-fundamental -12, -16, -27
     n = np.array([m for m in range(3, 801) if m % 4 in (0, 3)], dtype=np.int64)
-    got = class_numbers(n).tolist()
-    assert got == [class_number_forms(-m) for m in n.tolist()]
-    assert got == [class_number_h(-m) for m in n.tolist()]
+    h, H6 = class_numbers(n)
+    assert h.tolist() == [class_number_forms(-m) for m in n.tolist()]
+    assert h.tolist() == [class_number_grid(-m) for m in n.tolist()]
+    assert H6.tolist() == hurwitz_values(n).tolist()
 
 
 def test_class_numbers_near_four_million():
     # -4*10^6 = -2^8 * 5^6 has many square divisors; the sparse second array
     # puts its n far apart, so the union of the n/k^2 is far from dense
     n = np.array([m for m in range(3_999_940, 4_000_001) if m % 4 in (0, 3)], dtype=np.int64)
-    assert class_numbers(n).tolist() == [class_number_h(-m) for m in n.tolist()]
+    assert class_numbers(n)[0].tolist() == [class_number_grid(-m) for m in n.tolist()]
     sparse = [3, 4, 27, 1_000_000, 3_999_999, 4_000_000]
-    assert class_numbers(sparse).tolist() == [class_number_h(-m) for m in sparse]
+    want = [class_number_grid(-m) for m in sparse]
+    assert class_numbers(sparse)[0].tolist() == want
+    assert [class_number_h(-m) for m in sparse] == want
 
 
 @pytest.mark.parametrize("n", [[2], [5], [6], [4, 3], [3, 3], [[3, 4]]])

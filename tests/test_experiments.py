@@ -3,6 +3,7 @@ reduction counting, and report determinism."""
 
 import json
 import math
+import os
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +23,8 @@ from ltavg import (
     pi_E_rf,
     pi_half,
 )
-from ltavg import curves
+from ltavg import curves, experiments
+from ltavg.cli import dispatch
 from ltavg.curves import ReducedCurve
 from ltavg.experiments import (
     _box_sides,
@@ -354,6 +356,50 @@ def test_deuring_check_builds_no_trace_grid(monkeypatch):
 
     monkeypatch.setattr(curves, "trace_grid", no_grid)
     assert deuring_check(60).config["mismatches"] == []
+
+
+def test_deuring_check_lists_each_mismatch(monkeypatch, capsys):
+    # one model moved from trace -3 to trace 5 at p = 37 breaks those two
+    # masses; counts[r + R] with R = isqrt(4 * 37 - 1) = 12
+    honest = curves.trace_counts
+
+    def moved(p):
+        counts = honest(p)
+        if p == 37:
+            counts[-3 + 12] -= 1
+            counts[5 + 12] += 1
+        return counts
+
+    monkeypatch.setattr(curves, "trace_counts", moved)
+    assert deuring_check(60).config["mismatches"] == [[37, -3], [37, 5]]
+    assert dispatch(["deuring-check", "--pmax", "60"]) == 1
+    assert "2 mismatches found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus, workers, pools", [(2, 500, [2]), (None, 500, []), (1, 4, []), (8, 3, [3])])
+def test_map_primes_forks_at_most_one_process_per_cpu(monkeypatch, cpus, workers, pools):
+    # a fake fork context records the pool size and runs the shards in-process
+    started = []
+
+    class Pool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shards):
+            return [fn(shard) for shard in shards]
+
+    monkeypatch.setattr(experiments, "get_context", lambda method: type("Context", (), {"Pool": Pool}))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    items = list(range(2000))
+    got = experiments._map_primes(lambda shard, k: [k * i for i in shard], items, workers, k=3)
+    assert started == pools
+    assert sorted(got) == [3 * i for i in items]
 
 
 def test_report_row_shape():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import pi_half_quad
+from _oracles import c_coefficient, pi_half_quad
 from ltavg import (
     constant_product,
     constant_sum,
@@ -15,7 +15,7 @@ from ltavg import (
     pi_half,
 )
 from ltavg import ltconstant
-from ltavg.ltconstant import _c_prime_power, _generic_ratio, _row_sums, c_coefficient
+from ltavg.ltconstant import _c_prime_power, _generic_ratio, _row_sums
 from ltavg.primes import factorize_slow, phi_from_factors
 
 
