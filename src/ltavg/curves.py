@@ -137,6 +137,26 @@ def trace_grid(p: int):
     return got
 
 
+def _correlate_chi(weights: np.ndarray, p: int) -> np.ndarray:
+    """c[k, s] = sum_v weights[k, v] * chi(v + s) for 0 <= s < p, as int64.
+
+    weights is a (k, p) float64 array of rows over F_p.  All rows are
+    correlated against the doubled character table by one batched real FFT of
+    power-of-two length L >= 2p, so v + s < 2p never wraps.  Every entry must
+    be an integer: the table is certified at run time, and a float result at
+    distance 1/4 or more from the nearest integer raises ArithmeticError (for
+    the a-priori bound on FFT rounding error see Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 24).
+    """
+    L = 1 << (2 * p - 1).bit_length()
+    spectrum = np.conj(np.fft.rfft(weights, L)) * np.fft.rfft(quadratic_character(p), L)
+    c = np.fft.irfft(spectrum, L)[:, :p]
+    exact = np.rint(c)
+    if np.abs(c - exact).max() >= 0.25:
+        raise ArithmeticError(f"FFT character sums over F_{p} are not certified integers")
+    return exact.astype(np.int64)
+
+
 def trace_counts(p: int) -> np.ndarray:
     """Number of nonsingular models y^2 = x^3 + a*x + b over F_p of each trace.
 
@@ -148,27 +168,46 @@ def trace_counts(p: int) -> np.ndarray:
     of them isomorphic to one curve of trace t and half to its quadratic
     twist, of trace -t.  The curves y^2 = x^3 + a*x + a with a != 0 and
     4a + 27 != 0 give each such j once, since j = 1728*4a/(4a + 27) is a
-    bijection there.  That is 3p curves of p character values each: O(p^2).
+    bijection there.
+
+    chi is multiplicative, so each of the three families is one correlation
+    c[s] = sum_v w[v] chi(v + s) of a weight row w with chi:
+      j = 0, models (0, b): w is the histogram of x^3, and t(b) = -c[b];
+      j = 1728, models (a, 0): x^3 + a*x = x*(x^2 + a), so w[x^2] accumulates
+        chi(x) for x != 0, and t(a) = -c[a];
+      curves (a, a): x^3 + a*x + a = (x + 1)*(x^3/(x + 1) + a) for x != -1,
+        so w[x^3/(x + 1)] accumulates chi(x + 1), and t(a) = -chi(-1) - c[a].
+    The three rows go through _correlate_chi together: O(p log p) per prime.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("characteristic must be a prime greater than 3")
     if p >= 2**31:
-        raise OverflowError("a*x overflows int64 for p >= 2^31")
+        raise OverflowError("products of residues overflow int64 for p >= 2^31")
     R = isqrt(4 * p - 1)
     size = 2 * R + 1
-    nz = np.arange(1, p, dtype=np.int64)
-    zero = np.zeros_like(nz)
-    # the models (0, b) and (a, 0), then one curve (a, a) per j outside {0, 1728}
-    generic = nz[(4 * nz + 27) % p != 0]
-    a = np.concatenate([zero, nz, generic])
-    b = np.concatenate([nz, zero, generic])
     chi = quadratic_character(p)
-    traces = np.empty(len(a), dtype=np.int64)
-    for lo, v in _cubic_blocks(p, a):
-        # v + b < 2p indexes the doubled table
-        v += b[lo : lo + len(v), None]
-        traces[lo : lo + len(v)] = -chi[v].sum(axis=1, dtype=np.int64)
-    j0, j1728, t = traces[: p - 1], traces[p - 1 : 2 * p - 2], traces[2 * p - 2 :]
+    x = np.arange(p, dtype=np.int64)
+    square = x * x % p
+    cube = square * x % p
+    nz = x[1:]
+    # inv[x] = 1/(x + 1) for x != -1 by Fermat, (x + 1)^(p-2), products below p^2
+    inv = np.ones_like(nz)
+    base = nz.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        base = base * base % p
+        e >>= 1
+    weights = np.stack([
+        np.bincount(cube, minlength=p).astype(np.float64),
+        np.bincount(square[1:], weights=chi[1:p], minlength=p),
+        np.bincount(cube[:-1] * inv % p, weights=chi[1:p], minlength=p),
+    ])
+    c = _correlate_chi(weights, p)
+    # one curve (a, a) per j outside {0, 1728}
+    generic = nz[(4 * nz + 27) % p != 0]
+    j0, j1728, t = -c[0, 1:], -c[1, 1:], -int(chi[p - 1]) - c[2, generic]
     counts = np.bincount(j0 + R, minlength=size) + np.bincount(j1728 + R, minlength=size)
     counts += (p - 1) // 2 * (np.bincount(t + R, minlength=size) + np.bincount(R - t, minlength=size))
     return counts
@@ -181,7 +220,7 @@ def isogeny_mass_oracle(p: int, r: int) -> Fraction:
     isomorphism class by the inverse of its automorphism group, since a class
     with aut size w has (p-1)/w distinct models.  The count is read from
     trace_counts, which traces one curve per j-invariant and counts its
-    quadratic twist with it: O(p^2) per call.
+    quadratic twist with it: O(p log p) per call.
     """
     if r * r >= 4 * p:
         raise ValueError("trace violates the Hasse bound")

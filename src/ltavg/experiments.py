@@ -503,16 +503,21 @@ def deuring_check(p_max: int) -> ExperimentReport:
 
     The mass of trace r is the number of trace-r models over F_p divided by
     p - 1.  One trace_counts call per prime gives every r at once, from one
-    curve per j-invariant and its quadratic twist, so a prime costs O(p^2).
-    The expected masses H(r^2 - 4p)/2 come from one hurwitz_values call on
-    every n <= 4 p_max, which the primes then read as 4p - r^2, so mass and
-    expected mass agree exactly when 12 * count = (p - 1) * 6H.
+    curve per j-invariant and its quadratic twist, by three FFT correlations,
+    so a prime costs O(p log p).  The expected masses H(r^2 - 4p)/2 come from
+    one hurwitz_values call on every n <= 4 p_max, which the primes then read
+    as 4p - r^2, so mass and expected mass agree exactly when
+    12 * count = (p - 1) * 6H.  Raises ValueError for p_max < 5, where there
+    is no prime to check.
     """
     started = time.time()
+    p_max = int(p_max)
+    if p_max < 5:
+        raise ValueError(f"p_max must be at least 5, got {p_max}")
     rows = []
     mismatches = []
-    T = hurwitz_values(np.arange(4 * max(int(p_max), 0) + 1, dtype=np.int64))
-    for p in sieve_primes(int(p_max)).tolist():
+    T = hurwitz_values(np.arange(4 * p_max + 1, dtype=np.int64))
+    for p in sieve_primes(p_max).tolist():
         if p < 5:
             continue
         counts = curves.trace_counts(p)
@@ -524,7 +529,7 @@ def deuring_check(p_max: int) -> ExperimentReport:
         rows.append(make_row(p, int(counts.sum()) / (p - 1), int(H6.sum()) / 12))
     report = ExperimentReport(
         kind="deuring-check",
-        config={"p_max": int(p_max), "mismatches": mismatches},
+        config={"p_max": p_max, "mismatches": mismatches},
         rows=rows,
     )
     return report.finish(started)

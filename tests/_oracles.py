@@ -5,8 +5,10 @@ route than the package code, so agreement between the two is meaningful.
 Among them are references that the package no longer ships, since only the
 tests call them: class_number_grid (h(d) from one ragged grid of reduced
 forms, where the package inverts its Hurwitz values), L1_series (L(1, chi_d)
-by direct summation), is_fundamental, and c_coefficient (the enumeration
-that ltconstant's series coefficients are checked against).
+by direct summation), is_fundamental, c_coefficient (the enumeration that
+ltconstant's series coefficients are checked against), and
+trace_counts_gather (trace counts by gathering every character value, where
+the package correlates by FFT).
 """
 
 import functools
@@ -19,7 +21,8 @@ import numpy as np
 
 from ltavg import gfpoly
 from ltavg.classnumber import is_valid_discriminant, kronecker, unit_count_w
-from ltavg.primes import factorize_slow
+from ltavg.curves import _cubic_blocks, quadratic_character
+from ltavg.primes import factorize_slow, is_prime
 
 
 def hurwitz_all_forms(D):
@@ -229,6 +232,34 @@ def curve_trace_enumerated(a, b, p):
             if (y * y - rhs) % p == 0:
                 count += 1
     return p + 1 - count
+
+
+def trace_counts_gather(p):
+    """curves.trace_counts by the blocked O(p^2) gather: each of the 3p curves
+    of the j-invariant route is traced as -sum_x chi(x^3 + a*x + b), read off
+    the doubled character table one block of rows at a time."""
+    if p <= 3 or not is_prime(p):
+        raise ValueError("characteristic must be a prime greater than 3")
+    if p >= 2**31:
+        raise OverflowError("a*x overflows int64 for p >= 2^31")
+    R = math.isqrt(4 * p - 1)
+    size = 2 * R + 1
+    nz = np.arange(1, p, dtype=np.int64)
+    zero = np.zeros_like(nz)
+    # the models (0, b) and (a, 0), then one curve (a, a) per j outside {0, 1728}
+    generic = nz[(4 * nz + 27) % p != 0]
+    a = np.concatenate([zero, nz, generic])
+    b = np.concatenate([nz, zero, generic])
+    chi = quadratic_character(p)
+    traces = np.empty(len(a), dtype=np.int64)
+    for lo, v in _cubic_blocks(p, a):
+        # v + b < 2p indexes the doubled table
+        v += b[lo : lo + len(v), None]
+        traces[lo : lo + len(v)] = -chi[v].sum(axis=1, dtype=np.int64)
+    j0, j1728, t = traces[: p - 1], traces[p - 1 : 2 * p - 2], traces[2 * p - 2 :]
+    counts = np.bincount(j0 + R, minlength=size) + np.bincount(j1728 + R, minlength=size)
+    counts += (p - 1) // 2 * (np.bincount(t + R, minlength=size) + np.bincount(R - t, minlength=size))
+    return counts
 
 
 @functools.lru_cache(maxsize=4)

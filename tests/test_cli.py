@@ -268,6 +268,15 @@ def test_deuring_check_exit_zero(capsys):
     assert out.splitlines()[0] == "x,empirical,theoretical,ratio"
 
 
+@pytest.mark.parametrize("pmax", ["-5", "4"])
+def test_deuring_check_without_primes_exits_one(capsys, pmax):
+    # no prime 5 <= p <= pmax: an empty report would pass having checked nothing
+    code, out, err = run(capsys, "deuring-check", "--pmax", pmax)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 1 and out == "" and len(errors) == 1 and "at least 5" in errors[0], err
+    assert "Traceback" not in err
+
+
 def test_hurwitz_sum_csv(capsys):
     code, out, _ = run(capsys, "hurwitz-sum", "--field", "Q", "--r", "1",
                        "--x", "500", "--format", "csv")

@@ -17,6 +17,7 @@ from _oracles import (
     extension_trace_table,
     frobenius_trace_power,
     models_isomorphic,
+    trace_counts_gather,
 )
 from ltavg import (
     CurveModel,
@@ -149,6 +150,26 @@ def test_trace_counts_match_trace_grid():
         for r in range(-R, R + 1):
             assert counts[r + R] == ((traces == r) & nonsingular).sum(), (p, r)
         assert counts.sum() == p * (p - 1)
+
+
+def test_trace_counts_match_gather():
+    # the FFT correlations against the O(p^2) gather, past the grid test's range
+    primes = [p for p in sieve_primes(699).tolist() if p > 150] + [5003]
+    for p in primes:
+        assert np.array_equal(trace_counts(p), trace_counts_gather(p)), p
+
+
+def test_correlate_chi_certifies_integers():
+    p = 101
+    weights = np.zeros((2, p))
+    weights[0, 7] = 2.0
+    # c[0, s] = 2 chi(7 + s), and chi[7 : 7 + p] is one period of the table
+    assert np.array_equal(curves._correlate_chi(weights, p)[0], 2 * curves.quadratic_character(p)[7 : 7 + p])
+    # a half-integer weight puts c[1, s] = chi(3 + s) / 2 at distance 1/2
+    # from an integer wherever chi(3 + s) != 0
+    weights[1, 3] = 0.5
+    with pytest.raises(ArithmeticError):
+        curves._correlate_chi(weights, p)
 
 
 def test_trace_counts_rejects_bad_characteristic():

@@ -350,6 +350,13 @@ def test_deuring_check_clean():
             assert row["empirical"] == row["theoretical"] == float(row["x"])
 
 
+def test_deuring_check_rejects_range_without_primes():
+    for p_max in (-5, 0, 4):
+        with pytest.raises(ValueError):
+            deuring_check(p_max)
+    assert [row["x"] for row in deuring_check(5).rows] == [5]
+
+
 def test_deuring_check_builds_no_trace_grid(monkeypatch):
     def no_grid(p):
         raise AssertionError(f"trace_grid({p}) called")
