@@ -17,7 +17,6 @@ from .curves import (
     aut_size,
     isogeny_mass_oracle,
     isomorphism_orbit,
-    small_field,
     trace_mod_p,
     trace_mod_q,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "parse_field",
     "pi_E_rf",
     "pi_half",
-    "small_field",
     "trace_mod_p",
     "trace_mod_q",
     "unit_count_w",

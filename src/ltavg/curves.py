@@ -290,7 +290,7 @@ class SmallField:
         self.modulus = poly
         self._pvec = p ** np.arange(f, dtype=np.int64)
         # digit k of t^m mod the modulus, for the 2f - 1 powers a product reaches
-        self._powers = [(list(gfpoly.mod((0,) * m + (1,), poly, p)) + [0] * f)[:f] for m in range(2 * f - 1)]
+        self._powers = gfpoly.power_digits(poly, 2 * f - 1, p)
         self.digits = (np.arange(self.q, dtype=np.int64)[:, None] // self._pvec) % p
         squares = self.mul(self.digits, self.digits)
         self.cubes = self.mul(squares, self.digits)
@@ -330,21 +330,6 @@ class SmallField:
         return out
 
 
-# the current (p, modulus) only: runners visit each residue field in turn,
-# and its tables grow with p^f
-_small_fields: dict[tuple[int, tuple[int, ...]], SmallField] = {}
-
-
-def small_field(p: int, modulus) -> SmallField:
-    key = (p, tuple(int(c) % p for c in modulus))
-    fld = _small_fields.get(key)
-    if fld is None:
-        _small_fields.clear()
-        fld = SmallField(p, modulus)
-        _small_fields[key] = fld
-    return fld
-
-
 @dataclass(frozen=True)
 class CurveModel:
     """A Weierstrass model y^2 = x^3 + alpha*x + beta over a number field.
@@ -369,7 +354,7 @@ class ReducedCurve:
 
     For f = 1, a and b are integers mod p.  For f > 1 they are coefficient
     sequences (or prime-field constants) in the basis of modulus, a monic
-    irreducible of degree f over F_p.
+    irreducible of degree f over F_p.  The field size p^f must be below 2^24.
     """
 
     a: object
@@ -381,8 +366,9 @@ class ReducedCurve:
     def __post_init__(self):
         if self.f < 1:
             raise ValueError("field degree must be positive")
-        if self.p**self.f >= 2**40:
-            raise ValueError("field size exceeds the supported range")
+        # a trace builds tables of p^f entries; trace_matrix is exact below 2^24
+        if self.f >= 24 or self.p**self.f >= 2**24:
+            raise ValueError("field size p^f must be below 2^24")
         if self.f > 1 and not self.modulus:
             raise ValueError("extension fields need a modulus polynomial")
 
@@ -402,7 +388,7 @@ def trace_mod_q(curve: ReducedCurve) -> int:
     Raises ValueError on a singular model."""
     if curve.f == 1:
         return trace_mod_p(_as_prime_field_int(curve.a, curve.p), _as_prime_field_int(curve.b, curve.p), curve.p)
-    field = small_field(curve.p, curve.modulus)
+    field = SmallField(curve.p, curve.modulus)
     if field.f != curve.f:
         raise ValueError("modulus degree disagrees with the stated field degree")
     traces, nonsingular = field_trace_matrix(field, [field.element_index(curve.a)], [field.element_index(curve.b)])

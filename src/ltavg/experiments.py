@@ -3,12 +3,12 @@
 Every fixed-trace count (box_average, box_variance, pi_E_rf) is one
 reduce-and-match pipeline.  Each side of a box is a matrix with one row of
 power-basis coordinates per model (a single curve is a one-row side).  At
-each prime of degree f the rows are reduced to residues mod p (f = 1) or to
-element indices of F_p[t]/(modulus) (f > 1), and the distinct residues of the
-two sides are matched by one trace table: trace_matrix over F_p, or
-field_trace_matrix over F_{p^f}.  The multiplicities of the distinct residues
-turn the table into box totals or per-model counts, and their bincounts are
-the exact reduction counts at fixed primes.
+each prime of degree f the rows are reduced to element indices of the residue
+field F_p[t]/(modulus), and the distinct residues of the two sides are matched
+by one trace table: trace_matrix over F_p, or field_trace_matrix over F_{p^f}.
+The multiplicities of the distinct residues turn the table into box totals or
+per-model counts.  The exact reduction counts at fixed primes match the same
+distinct residues against isomorphism orbits.
 
 Quantities backed by exact identities (box counts, class-number sums,
 reduction counts) are accumulated in integer or rational arithmetic; float
@@ -32,9 +32,9 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from . import curves
+from . import curves, gfpoly
 from .classnumber import hurwitz_values
-from .curves import CurveModel, ReducedCurve, field_trace_matrix, small_field, trace_matrix
+from .curves import CurveModel, ReducedCurve, SmallField, field_trace_matrix, trace_matrix
 from .ltconstant import constant_product, constant_sum, pi_half
 from .numberfield import (
     DegreeFPrime,
@@ -193,18 +193,16 @@ def _box_sides(box: CurveBox) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduce(coords: np.ndarray, pr: DegreeFPrime) -> np.ndarray:
-    """Each row's element sum_j coords[j] * theta^j at the prime: its residue
-    mod p for f = 1, else its SmallField element index."""
+    """Each row's element sum_j coords[j] * theta^j as its index in the residue
+    field F_p[t]/(modulus): its coefficients as base-p digits, constant first."""
     p, n = pr.p, coords.shape[1]
     if n * p * p >= 2**63:
         raise OverflowError("coordinate reduction needs n_K * p^2 < 2^63")
+    # row j: the digits of theta^j = t^j mod (modulus, p)
+    powers = np.array(gfpoly.power_digits(pr.modulus, n, p), dtype=np.int64)
     # rows of a single curve may hold integers beyond int64
     reduced = np.asarray(coords % p, dtype=np.int64)
-    if pr.f == 1:
-        return reduced @ np.array([pow(pr.root, j, p) for j in range(n)], dtype=np.int64) % p
-    fld = small_field(p, pr.modulus)
-    t_powers = fld.digits[[fld.element_index((0,) * j + (1,)) for j in range(n)]]
-    return (reduced @ t_powers % p) @ fld._pvec
+    return reduced @ powers % p @ p ** np.arange(pr.f, dtype=np.int64)
 
 
 def _prime_matches(field: GaloisFieldSpec, A: np.ndarray, B: np.ndarray, r: int, p: int, f: int):
@@ -215,13 +213,15 @@ def _prime_matches(field: GaloisFieldSpec, A: np.ndarray, B: np.ndarray, r: int,
         primes = [DegreeFPrime(p, 1, ((-root) % p, 1)) for root in field.roots_mod(p)]
     else:
         primes = degree_f_primes(field, p, f)
+    sides = np.concatenate([A, B])  # one power matrix per prime reduces both
     for pr in primes:
-        av, ia, ca = np.unique(_reduce(A, pr), return_inverse=True, return_counts=True)
-        bv, ib, cb = np.unique(_reduce(B, pr), return_inverse=True, return_counts=True)
+        reduced = _reduce(sides, pr)
+        av, ia, ca = np.unique(reduced[: len(A)], return_inverse=True, return_counts=True)
+        bv, ib, cb = np.unique(reduced[len(A) :], return_inverse=True, return_counts=True)
         if f == 1:
             traces, nonsingular = trace_matrix(p, av, bv)
         else:
-            traces, nonsingular = field_trace_matrix(small_field(p, pr.modulus), av, bv)
+            traces, nonsingular = field_trace_matrix(SmallField(p, pr.modulus), av, bv)
         yield (traces == r) & nonsingular, (ia, ca), (ib, cb)
 
 
@@ -407,9 +407,10 @@ def _count_reductions(field, box: CurveBox, targets: list) -> tuple[int, float]:
     targets, a list of (ReducedCurve, rational prime p), is isomorphic to the
     target there, with the main term V * prod(p - 1) / prod(p^2 * #Aut).
 
-    Above each p the degree-1 prime of least root is taken.  Each box side is
-    one bincount of its residues at all the primes read as one mixed-radix
-    code, and the product of the targets' isomorphism orbits indexes it.
+    Above each p the degree-1 prime of least root is taken.  The distinct
+    residue tuples of each box side (counts ca, cb) are matched pairwise
+    against the targets' isomorphism orbits, so the match matrix has at most
+    one cell per box model, and the count is ca @ match @ cb.
     """
     field = _as_field(field)
     _check_box(field, box)
@@ -425,7 +426,7 @@ def _count_reductions(field, box: CurveBox, targets: list) -> tuple[int, float]:
     ps = [pr.p for pr in primes]
     if len(set(ps)) < len(ps):
         raise ValueError("the two primes must lie over distinct rational primes")
-    orbit_a = orbit_b = np.zeros(1, dtype=np.int64)  # the orbit product's codes on each side
+    orbits = []  # each target's orbit, as codes a * p + b
     num, den = box.volume, 1
     for (target, _), p in zip(targets, ps):
         if target.f != 1 or target.p != p:
@@ -434,15 +435,17 @@ def _count_reductions(field, box: CurveBox, targets: list) -> tuple[int, float]:
         if curves.is_singular(a0, b0, p):
             raise ValueError("singular target rejected")
         orbit = np.array(curves.isomorphism_orbit(a0, b0, p), dtype=np.int64)
-        orbit_a = (orbit_a[:, None] * p + orbit[:, 0]).ravel()
-        orbit_b = (orbit_b[:, None] * p + orbit[:, 1]).ravel()
+        orbits.append(orbit[:, 0] * p + orbit[:, 1])
         num, den = num * (p - 1), den * p * p * curves.aut_size(a0, b0, p)
-    mult_a, mult_b = (
-        np.bincount(np.ravel_multi_index([_reduce(side, pr) for pr in primes], ps), minlength=math.prod(ps))
+    (ua, ca), (ub, cb) = (
+        np.unique(np.stack([_reduce(side, pr) for pr in primes], axis=1), axis=0, return_counts=True)
         for side in _box_sides(box)
     )
+    match = np.ones((len(ua), len(ub)), dtype=bool)
+    for k, (p, orbit) in enumerate(zip(ps, orbits)):
+        match &= np.isin(ua[:, k, None] * p + ub[None, :, k], orbit)
     # one int / int division, so the float is correctly rounded
-    return int(mult_a[orbit_a] @ mult_b[orbit_b]), num / den
+    return int(ca @ match @ cb), num / den
 
 
 def count_box_reductions(field, box: CurveBox, target: ReducedCurve, prime):

@@ -69,6 +69,12 @@ def mod(f: Poly, g: Poly, p: int) -> Poly:
     return divmod_(f, g, p)[1]
 
 
+def power_digits(h: Poly, count: int, p: int) -> list[list[int]]:
+    """The coefficients of x^m mod (h, p) for m < count, padded to deg h."""
+    d = degree(h)
+    return [(list(mod((0,) * m + (1,), h, p)) + [0] * d)[:d] for m in range(count)]
+
+
 def mulmod(f: Poly, g: Poly, h: Poly, p: int) -> Poly:
     return mod(mul(f, g, p), h, p)
 

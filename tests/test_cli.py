@@ -82,6 +82,18 @@ def test_trace_reducible_modpoly_fails(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--p", "1000000007", "--a", "1", "--b", "1"],
+    ["trace", "--p", "10007", "--f", "2", "--modpoly", "1,0,1", "--a", "1,0", "--b", "1,0"],
+    ["count-reductions", "--a", "1", "--b", "1", "--p", "16777259", "--box", "a1=(0);b1=(5);a2=(0);b2=(5)"],
+])
+def test_residue_fields_from_two_to_the_24_exit_one(capsys, argv):
+    # a trace builds tables of p^f entries, so these would need gigabytes
+    code, out, err = run(capsys, *argv)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 1 and out == "" and len(errors) == 1 and "2^24" in errors[0], err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         dispatch(["nonsense"])

@@ -25,7 +25,6 @@ from ltavg import (
     hurwitz_H,
     isogeny_mass_oracle,
     isomorphism_orbit,
-    small_field,
     trace_mod_p,
     trace_mod_q,
 )
@@ -207,7 +206,7 @@ def test_extension_trace_three_routes():
     # of field_trace_matrix must agree
     mods = {7: (1, 0, 1), 5: (2, 0, 1), 11: (1, 0, 1)}
     for p, modulus in mods.items():
-        F = small_field(p, modulus)
+        F = curves.SmallField(p, modulus)
         consts = [F.element_index(c) for c in range(p)]
         grid, _ = field_trace_matrix(F, consts, consts)
         for a in range(p):
@@ -251,7 +250,7 @@ _EXTENSION_FIELDS = [(7, (1, 0, 1)), (11, (1, 0, 1)), (5, (1, 0, 1, 1)), (5, (1,
 
 @pytest.mark.parametrize("p, modulus", _EXTENSION_FIELDS)
 def test_small_field_mul_and_character(p, modulus):
-    F = small_field(p, modulus)
+    F = curves.SmallField(p, modulus)
     polys = [gfpoly.trim(c) for c in itertools.product(range(p), repeat=F.f)]
     idx = np.array([F.element_index(c) for c in polys], dtype=np.int64)
     assert sorted(idx.tolist()) == list(range(F.q))
@@ -266,6 +265,13 @@ def test_small_field_mul_and_character(p, modulus):
         assert gfpoly.trim(row) == gfpoly.mulmod(polys[a], polys[b], modulus, p)
     _, chi = _euler_table(p, modulus)
     assert F.chi[idx].tolist() == [chi.get(x, 0) for x in polys]
+
+
+def test_reduced_curve_field_size_is_below_two_to_the_24():
+    assert ReducedCurve(1, 1, 16777213).p == 16777213  # the largest prime below 2^24
+    for args in [(1, 1, 16777259), (1, 1, 10**9 + 7), ((1, 0), (1, 0), 4099, 2, (2, 0, 1)), (1, 1, 7, 10**9, (1,))]:
+        with pytest.raises(ValueError, match="2\\^24"):
+            ReducedCurve(*args)
 
 
 def test_small_field_accepts_exactly_the_irreducible_moduli():
@@ -313,7 +319,7 @@ def _check_field_traces(F, A, B, want):
 
 @pytest.mark.parametrize("p, modulus", [(7, (1, 0, 1)), (5, (1, 0, 1, 1))])
 def test_field_trace_matrix_every_pair(p, modulus, monkeypatch):
-    F = small_field(p, modulus)
+    F = curves.SmallField(p, modulus)
     elements, table = extension_trace_table(p, modulus)
     where = {F.element_index(x): k for k, x in enumerate(elements)}
     order = list(range(F.q))
@@ -328,7 +334,7 @@ def test_field_trace_matrix_every_pair(p, modulus, monkeypatch):
 # F_343, where -1 is a non-square, and F_625
 @pytest.mark.parametrize("p, modulus", [(7, (1, 0, 1, 1)), (5, (1, 0, 1, 1, 1))])
 def test_field_trace_matrix_sampled(p, modulus, monkeypatch):
-    F = small_field(p, modulus)
+    F = curves.SmallField(p, modulus)
     rng = random.Random(41)
     A = [rng.randrange(F.q) for _ in range(7)]
     A += [0, A[2]]

@@ -4,12 +4,14 @@ reduction counting, and report determinism."""
 import json
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
-from _oracles import extension_trace_euler
+from _oracles import extension_trace_euler, models_isomorphic
 from ltavg import (
     CurveBox,
     CurveModel,
@@ -35,7 +37,8 @@ from ltavg.experiments import (
     theta_report,
 )
 from ltavg.ltconstant import constant_product
-from ltavg.numberfield import admissible_primes
+from ltavg.numberfield import PRESETS, admissible_primes, degree_f_primes
+from ltavg.primes import is_prime
 from ltavg.report import ExperimentReport, constant_provenance, make_row
 
 
@@ -298,6 +301,59 @@ def test_count_box_reductions_pair_full_residue():
     assert abs(main - float(exact)) / float(exact) < 0.05
 
 
+@pytest.mark.parametrize("t1, t2", [((2, 4), (1, 1)), ((2, 4), (2, -4))])
+def test_count_box_reductions_pair_at_large_primes_matches_enumeration(t1, t2):
+    # the match matrix spans the box's 11 x 11 distinct residue pairs, not
+    # tables indexed by residue codes at both primes (p1 * p2 cells)
+    Q = _Q()
+    box = CurveBox((0,), (5,), (0,), (5,))
+    p1, p2 = 10007, 10009
+    tracemalloc.start()
+    try:
+        exact, _ = count_box_reductions_pair(
+            Q, box, ReducedCurve(t1[0] % p1, t1[1] % p1, p1), p1, ReducedCurve(t2[0] % p2, t2[1] % p2, p2), p2
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # (2, 4) and (2, -4) are isomorphic mod 10009 = 1 mod 4 by u^2 = -1
+    want = sum(
+        models_isomorphic(a, b, *t1, p1) and models_isomorphic(a, b, *t2, p2)
+        for a in range(-5, 6)
+        for b in range(-5, 6)
+    )
+    assert exact == want
+    assert peak < 16 * 2**20
+
+
+def test_reduce_matches_polynomial_reduction_in_the_residue_field():
+    # every preset, at each f in 1..4 where its degree-f primes occur; the
+    # SmallField index reduces the whole element as a polynomial mod modulus
+    rng = np.random.default_rng(18)
+    seen = set()
+    for name in PRESETS:
+        field = parse_field(name)
+        for f in range(1, 5):
+            ps = [p for p in range(5, 200) if is_prime(p) and p**f < 30000 and field.disc % p]
+            for p in [p for p in ps if degree_f_primes(field, p, f)][:2]:
+                seen.add((name, f))
+                for pr in degree_f_primes(field, p, f):
+                    F = curves.SmallField(p, pr.modulus)
+                    rows = rng.integers(-(2**63), 2**63 - 1, size=(8, field.n_K), dtype=np.int64)
+                    want = [F.element_index(row) for row in rows.tolist()]
+                    assert experiments._reduce(rows, pr).tolist() == want, (name, pr)
+                    # a single curve's row may hold integers beyond int64
+                    big = [(-1) ** j * (3 * 10**25 + 7 * j) for j in range(field.n_K)]
+                    got = experiments._reduce(np.array([big], dtype=object), pr)
+                    assert got.tolist() == [F.element_index(big)], (name, pr)
+    assert seen == {
+        ("Q", 1),
+        *((name, f) for name in ("Q_i", "Q_sqrt2", "Q_zeta3") for f in (1, 2)),
+        ("Q_zeta5", 1), ("Q_zeta5", 2), ("Q_zeta5", 4),
+        ("S3_x3m2", 1), ("S3_x3m2", 2), ("S3_x3m2", 3),
+    }
+
+
 def test_count_box_reductions_pair_same_prime_rejected():
     Q = _Q()
     box = CurveBox((0,), (5,), (0,), (5,))
@@ -468,7 +524,6 @@ def test_per_prime_memos_hold_the_current_prime_only():
     assert len(curves._char_tables) <= 1
     # 23 inert primes, one residue field F_{p^2} each
     box_average(parse_field("Q_i"), CurveBox((1, 0), (1, 1), (3, 0), (1, 1)), 2, 2, 4 * 10**4)
-    assert len(curves._small_fields) <= 1
     # and no per-model or per-trace memo grows with the primes a count visits
     pi_E_rf(_Q(), CurveModel((1,), (1,)), 1, 1, 2000)
     for name, memo in vars(curves).items():
