@@ -47,10 +47,14 @@ def is_singular(a: int, b: int, p: int) -> bool:
 def trace_mod_p(a: int, b: int, p: int) -> int:
     """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p, p > 3 prime.
 
-    The point count is p + 1 - trace.  Raises ValueError on a singular model.
+    The point count is p + 1 - trace.  Raises ValueError on a singular model,
+    and for p >= 2^24, the bound of ReducedCurve, before any table of p
+    entries is built.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("characteristic must be a prime greater than 3")
+    if p >= 2**24:
+        raise ValueError("field size p must be below 2^24")
     a %= p
     b %= p
     if is_singular(a, b, p):
@@ -68,15 +72,15 @@ _BLOCK_CELLS = 1 << 13
 
 def _cubic_blocks(p: int, a: np.ndarray):
     """Yield (lo, v) for blocks of the reduced values a, where
-    v[k, x] = (x^3 + a[lo + k]*x) mod p for x in F_p.
+    v[k, x] = (x^3 + a[lo + k]*x) mod p for 0 <= x < (p + 1)/2.
 
     v is a view of one int64 buffer of about _BLOCK_CELLS cells that is
     overwritten at the next step; the caller may change it in place.
     """
-    x = np.arange(p, dtype=np.int64)
+    x = np.arange((p + 1) // 2, dtype=np.int64)
     cubic = (x * x % p) * x % p
-    rows = max(1, min(len(a), _BLOCK_CELLS // p))
-    buf = np.empty((rows, p), dtype=np.int64)
+    rows = max(1, min(len(a), _BLOCK_CELLS // len(x)))
+    buf = np.empty((rows, len(x)), dtype=np.int64)
     quo = np.empty_like(buf)
     for lo in range(0, len(a), rows):
         v, q = buf[: len(a) - lo], quo[: len(a) - lo]
@@ -99,26 +103,41 @@ def trace_matrix(p: int, a_values, b_values):
     singular pairs).
 
     Each trace -sum_x chi(x^3 + a*x + b) is read as -sum_v N_a(v) chi(v + b),
-    with N_a(v) = #{x in F_p : x^3 + a*x = v}, so the table is -(N @ W) for
-    the (|A|, p) histogram N and the (p, |B|) window W[v, j] = chi(v + b_j).
-    Cost is (|A| + |B|) * p numpy work plus one |A| x p by p x |B| float32
-    product.  That product is exact for p < 2^24: each term is an integer in
-    [-3, 3] and every partial sum is an integer of absolute value at most p.
+    with N_a(v) = #{x in F_p : x^3 + a*x = v}.  x^3 + a*x is odd, so
+    N_a(-v) = N_a(v), and with h = (p + 1)/2 and the folded histogram
+    H_a(u) = #{0 <= x < h : x^3 + a*x = +-u} for 0 <= u < h,
+      N_a(0) = 2*H_a(0) - 1 (x = 0 is counted once), N_a(u) = H_a(u) for u >= 1,
+      trace(a, b) = -[N_a(0) chi(b) + sum_{u=1}^{h-1} N_a(u) (chi(b + u) + chi(b - u))].
+    So the table is -(N @ W) for the (|A|, h) histogram N and the (h, |B|)
+    window W[0, j] = chi(b_j), W[u, j] = chi(b_j + u) + chi(b_j - u).  Cost is
+    (|A| + |B|) * h numpy work plus one |A| x h by h x |B| float32 product.
+    That product is exact for p < 2^24: each N is an integer in [0, 3], each
+    W in [-2, 2], and every partial sum is an integer of absolute value at
+    most N_a(0) + 2 * (p - N_a(0))/2 = p.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("characteristic must be a prime greater than 3")
     if p >= 2**24:
         raise OverflowError("float32 character sums are exact only for p < 2^24")
+    h = (p + 1) // 2
     avals = np.asarray(a_values, dtype=np.int64) % p
     bvals = np.asarray(b_values, dtype=np.int64) % p
-    hist = np.empty((len(avals), p), dtype=np.float32)
+    hist = np.empty((len(avals), h), dtype=np.float32)
     for lo, v in _cubic_blocks(p, avals):
-        # row k of the block counts into bins k*p .. k*p + p - 1
-        v += p * np.arange(len(v))[:, None]
+        # fold v to min(v, p - v), then row k of the block counts into bins
+        # k*h .. k*h + h - 1
+        np.minimum(v, p - v, out=v)
+        v += h * np.arange(len(v))[:, None]
         hist[lo : lo + len(v)] = np.bincount(v.ravel(), minlength=v.size).reshape(v.shape)
-    # the doubled table makes column j the slice chi[b_j : b_j + p]
-    window = sliding_window_view(quadratic_character(p), p)[bvals].astype(np.float32).T
-    traces = -(hist @ window).astype(np.int64)
+    hist[:, 0] = 2 * hist[:, 0] - 1
+    # the doubled table makes row b of the view chi[b : b + h], and row
+    # b + p - h + 1 reversed chi(b - u) for 0 <= u < h
+    chi = quadratic_character(p)
+    rows = sliding_window_view(chi, h)
+    window = rows[bvals].astype(np.float32)
+    window += rows[bvals + (p - h + 1), ::-1]
+    window[:, 0] = chi[bvals]
+    traces = -(hist @ window.T).astype(np.int64)
     disc = (4 * (avals * avals % p) * avals % p)[:, None] + 27 * (bvals * bvals % p)[None, :]
     return traces, disc % p != 0
 

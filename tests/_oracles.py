@@ -8,7 +8,8 @@ forms, where the package inverts its Hurwitz values), L1_series (L(1, chi_d)
 by direct summation), is_fundamental, c_coefficient (the enumeration that
 ltconstant's series coefficients are checked against), and
 trace_counts_gather (trace counts by gathering every character value, where
-the package correlates by FFT).
+the package correlates by FFT) and trace_table_gather (every trace over F_p
+by the same gather, where the package folds x -> -x into a float32 product).
 """
 
 import functools
@@ -21,7 +22,7 @@ import numpy as np
 
 from ltavg import gfpoly
 from ltavg.classnumber import is_valid_discriminant, kronecker, unit_count_w
-from ltavg.curves import _cubic_blocks, quadratic_character
+from ltavg.curves import quadratic_character
 from ltavg.primes import factorize_slow, is_prime
 
 
@@ -251,15 +252,26 @@ def trace_counts_gather(p):
     a = np.concatenate([zero, nz, generic])
     b = np.concatenate([nz, zero, generic])
     chi = quadratic_character(p)
+    x = np.arange(p, dtype=np.int64)
+    cubic = x * x % p * x % p
     traces = np.empty(len(a), dtype=np.int64)
-    for lo, v in _cubic_blocks(p, a):
-        # v + b < 2p indexes the doubled table
-        v += b[lo : lo + len(v), None]
-        traces[lo : lo + len(v)] = -chi[v].sum(axis=1, dtype=np.int64)
+    rows = max(1, (1 << 16) // p)
+    for lo in range(0, len(a), rows):
+        v = (cubic + a[lo : lo + rows, None] * x + b[lo : lo + rows, None]) % p
+        traces[lo : lo + rows] = -chi[v].sum(axis=1, dtype=np.int64)
     j0, j1728, t = traces[: p - 1], traces[p - 1 : 2 * p - 2], traces[2 * p - 2 :]
     counts = np.bincount(j0 + R, minlength=size) + np.bincount(j1728 + R, minlength=size)
     counts += (p - 1) // 2 * (np.bincount(t + R, minlength=size) + np.bincount(R - t, minlength=size))
     return counts
+
+
+def trace_table_gather(p):
+    """(p, p) table of -sum_x chi(x^3 + a*x + b) indexed [a, b], by one
+    O(p^3) gather with chi from Euler's criterion (garbage at singular (a, b))."""
+    chi = np.array([0] + [1 if pow(v, (p - 1) // 2, p) == 1 else -1 for v in range(1, p)])
+    x = np.arange(p)
+    values = (x**3 + np.arange(p)[:, None, None] * x + np.arange(p)[None, :, None]) % p
+    return -chi[values].sum(axis=2)
 
 
 @functools.lru_cache(maxsize=4)

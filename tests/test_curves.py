@@ -18,6 +18,7 @@ from _oracles import (
     frobenius_trace_power,
     models_isomorphic,
     trace_counts_gather,
+    trace_table_gather,
 )
 from ltavg import (
     CurveModel,
@@ -60,10 +61,10 @@ def test_trace_matrix_matches_enumeration_oracle():
 def test_trace_matrix_matches_trace_mod_p():
     # unsorted values with duplicates and negatives; (-3, 2) and (0, 0) are
     # singular at every p, and |A| = 2 * rows + 1 leaves the last block of
-    # rows partial
+    # rows partial (blocks are (p + 1)/2 wide)
     rng = random.Random(31)
     for p in (17, 101, 1009, 2003, 2999):
-        rows = max(1, curves._BLOCK_CELLS // p)
+        rows = max(1, curves._BLOCK_CELLS // ((p + 1) // 2))
         A = [-3, 0, 5 - p, 10**6 + 3, 5] + [rng.randrange(-2 * p, 2 * p) for _ in range(2 * rows - 4)]
         B = [2, 0, -1, 2 + p, 7, 7] + [rng.randrange(-2 * p, 2 * p) for _ in range(3)]
         for a_values, b_values in ((A, B), (A[:1], B), (A, B[-1:])):
@@ -74,6 +75,44 @@ def test_trace_matrix_matches_trace_mod_p():
                     assert nonsingular[i, j] == (not is_singular(a, b, p))
                     if nonsingular[i, j]:
                         assert traces[i, j] == trace_mod_p(a, b, p), (p, a, b)
+
+
+def test_trace_matrix_matches_direct_character_sum():
+    # every cell at every prime below 100, p = 1 and p = 3 mod 4 alike
+    for p in sieve_primes(99).tolist()[2:]:
+        traces, nonsingular = trace_matrix(p, range(p), range(p))
+        want = trace_table_gather(p)
+        assert np.array_equal(traces[nonsingular], want[nonsingular]), p
+
+
+def test_trace_matrix_window_edges_above_a_million():
+    # b = 0, 1, p - h, p - h + 1 and p - 1 are the ends of the two halves of
+    # the folded window, h = (p + 1)/2; at a = -x0^2 the cubic has the three
+    # roots 0 and +-x0, so the folded count at 0 is 2
+    p = 1000003
+    h = (p + 1) // 2
+    A = [0, -(12345**2), 7, p - 1]
+    B = [0, 1, p - h, p - h + 1, p - 1]
+    traces, nonsingular = trace_matrix(p, A, B)
+    assert nonsingular.sum() == len(A) * len(B) - 1
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            if nonsingular[i, j]:
+                assert traces[i, j] == trace_mod_p(a, b, p), (a, b)
+
+
+def test_trace_mod_p_rejects_p_from_two_to_the_24():
+    # the smallest prime above 2^24 and a 30-bit prime; the guard comes
+    # before any table of size p
+    tracemalloc.start()
+    try:
+        for p in (16777259, 10**9 + 7):
+            with pytest.raises(ValueError, match="2\\^24"):
+                trace_mod_p(1, 1, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_trace_matrix_rejects_p_beyond_float32_exactness():
