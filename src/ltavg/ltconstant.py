@@ -213,6 +213,31 @@ def _generic_ratio(p: int, e: int, r: int) -> int:
     return p ** (e - 1) * (-miss if e % 2 else p - 1 - miss)
 
 
+def _c_by_period(k: int, p: int, r: int, b: int, m: int):
+    """e -> c(k, p^e, r, b, m), enumerated for e <= e0 + 1 with e0 = max(1, v_p(m)),
+    and from c(k, p^(e+2)) = p^2 c(k, p^e) above that.
+
+    Write x = r^2 - a k^2.  The summand of c(k, p^e) is [4 | x] [no prime of
+    p^e k^2 divides x/4] [x = 4b mod 4 gcd(m, p^e k^2)] w(a)^e, with w(a) the
+    weight (a|p), or (a|2) when p = 2.  For e >= 1 the primes of p^e k^2 are
+    fixed, and for e >= v_p(m) so is gcd(m, p^e k^2).  An odd prime l != p of
+    k sees x = r^2 mod l whatever a is, and the part of gcd(m, .) prime to p
+    divides k^2, so a k^2 vanishes modulo it.  For e >= e0 the summand is thus
+    one function of a, periodic mod 4 p^e0 (mod 2^(e0+2) when p = 2), times
+    w(a)^e; the 4 p^e residues are 4 p^e / period copies of one period, and
+    the sum at e + 2 is p^2 times the sum at e.
+    """
+    e0 = max(1, int(_ord_ell(m, p)))
+    memo: dict[int, int] = {}
+
+    def local(e: int) -> int:
+        if e not in memo:
+            memo[e] = _c_prime_power(k, p, e, r, b, m) if e <= e0 + 1 else p * p * local(e - 2)
+        return memo[e]
+
+    return local
+
+
 def _put_prime(f: np.ndarray, p: int, local) -> None:
     """Set f[p^e j] = f[j] * local(e) for every j prime to p and e >= 1."""
     q, e = p, 1
@@ -241,12 +266,19 @@ def _row_sums(r: int, m: int, units, k_max: int, n_max: int) -> dict[tuple[int, 
     and D(n) / D(1) are multiplicative in n, so a row is c(k, 1)/D(1) times
     the sum of one multiplicative function.  A row with c(k, 1) = 0 is zero.
     Each c(k, n) is built as an exact integer by one sieve: the closed form of
-    _generic_ratio at the odd primes not dividing k m, the enumerated
-    definition at p = 2 and at the odd primes dividing k m.  Every term is then
-    an exact integer over an exact integer, summed with math.fsum.
+    _generic_ratio at the odd primes not dividing k m, and _c_by_period at
+    p = 2 and at the odd primes dividing k m, which enumerates c(k, p^e) only
+    for e <= e0 + 1, e0 = max(1, v_p(m)), and steps by c(k, p^(e+2)) =
+    p^2 c(k, p^e) above.  A (b, k) row so enumerates at most 4 p^(e0+1)
+    residues at each prime p of 2km whatever N_max is, and its sieve and sum
+    cost O(N_max).  Every term is then an exact integer over an exact integer,
+    summed with math.fsum.  D(n) <= N_max^2 K_max^3 phi(m) must fit in int64;
+    that is checked before any table is built.
     """
     if r * r + 4 * n_max * k_max**2 >= 2**63:
         raise OverflowError("r^2 - a k^2 with a < 4 N_max must fit in int64")
+    if n_max**2 * k_max**3 * phi_from_factors(factorize_slow(m)) >= 2**63:
+        raise OverflowError("D(n) = n k phi(m) phi(n k^2) / phi(gcd(n k^2, m)) must fit in int64")
     phi, primes = _tables(n_max)
     generic = np.ones(n_max + 1, dtype=np.int64)
     for p in primes.tolist():
@@ -272,8 +304,9 @@ def _row_sums(r: int, m: int, units, k_max: int, n_max: int) -> dict[tuple[int, 
             # is c(k, 1) times the p-part
             coef = generic.copy()
             for p in special:
-                _put_prime(coef, p, lambda e: _c_prime_power(k, p, e, r, b, m) // c1)
-            _put_prime(coef, 2, lambda e: _c_prime_power(k, 2, e, r, b, m))
+                c_p = _c_by_period(k, p, r, b, m)
+                _put_prime(coef, p, lambda e: c_p(e) // c1)
+            _put_prime(coef, 2, _c_by_period(k, 2, r, b, m))
             coef[1::2] *= c1
             rows[b, k] = math.fsum((coef[1:] / denom).tolist())
     return rows

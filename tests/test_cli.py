@@ -307,6 +307,15 @@ def test_constant_json_output(capsys):
     assert 0 < doc["constant"]["product"]["value"] < 2
 
 
+def test_constant_series_denominator_overflow_exits_one(capsys):
+    # D(n) overflows int64 at k = 199 and n near 1.1*10^6; this used to print
+    # a wrong value and exit 0
+    code, out, err = run(capsys, "constant", "--field", "Q", "--r", "1", "--method", "sum",
+                         "--kmax", "200", "--nmax", "1100000")
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 1 and out == "" and len(errors) == 1 and "int64" in errors[0], err
+
+
 def test_out_file_json_and_csv(tmp_path, capsys):
     jpath = tmp_path / "report.json"
     code, out, _ = run(capsys, "deuring-check", "--pmax", "30", "--out", str(jpath))

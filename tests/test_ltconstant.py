@@ -15,7 +15,7 @@ from ltavg import (
     pi_half,
 )
 from ltavg import ltconstant
-from ltavg.ltconstant import _c_prime_power, _generic_ratio, _row_sums
+from ltavg.ltconstant import _c_by_period, _c_prime_power, _generic_ratio, _ord_ell, _row_sums
 from ltavg.primes import factorize_slow, phi_from_factors
 
 
@@ -116,8 +116,9 @@ def _brute_row(k, r, b, m, n_max):
 
 
 def test_row_sums_match_enumeration():
+    # m = 8, 9, 16 put the step threshold at e0 = 3, 2, 4
     for r in (0, 1, 2, 3, -3):
-        for m in (1, 3, 4, 5, 12):
+        for m in (1, 3, 4, 5, 8, 9, 12, 16):
             rows = _row_sums(r, m, _units(m), 6, 80)
             assert sorted(rows) == sorted((b, k) for b in _units(m) for k in range(1, 7))
             for (b, k), value in rows.items():
@@ -125,15 +126,48 @@ def test_row_sums_match_enumeration():
 
 
 def test_c_prime_power_matches_enumeration():
-    # odd p reads the shared int8 Legendre table; its sum must stay an exact int
-    for p in (3, 5, 7, 11):
-        for e in range(1, 4):
+    # p = 2 reads the (a|2) table, odd p the shared int8 Legendre table;
+    # either sum must stay an exact int
+    for p, e_max in ((2, 7), (3, 3), (5, 3), (7, 3), (11, 3)):
+        for e in range(1, e_max + 1):
             if p**e > 400:
                 break
             for k, r, b, m in ((1, 1, 1, 1), (2, 0, 1, 3), (3, 3, 1, 4), (1, 2, 2, 5), (5, 1, 5, 12)):
                 got = _c_prime_power(k, p, e, r, b, m)
                 assert type(got) is int
                 assert got == c_coefficient(k, p**e, r, b, m), (k, p, e, r, b, m)
+
+
+def test_c_by_period_matches_enumeration():
+    # the step c(k, p^(e+2)) = p^2 c(k, p^e) above e0 + 1, e0 = max(1, v_p(m)),
+    # at p dividing m, k, r or none of them, at every e with 4 p^e <= 2^11
+    for m in (1, 3, 4, 5, 8, 9, 12, 16, 27):
+        for p in (2, 3, 5, 7):
+            e_top = max(e for e in range(1, 10) if 4 * p**e <= 2**11)
+            ks = sorted(set(range(1, 25)) | {p * p * j for j in (1, 2, 5, 7)})
+            for k in ks:
+                for r in (0, 1, -3, p, p * p):
+                    for b in _units(m):
+                        local = _c_by_period(k, p, r, b, m)
+                        for e in range(1, e_top + 1):
+                            assert local(e) == _c_prime_power(k, p, e, r, b, m), (m, p, k, r, b, e)
+
+
+def test_enumeration_does_not_grow_with_n_max(monkeypatch):
+    # every enumerated p-part stays at e <= max(1, v_p(m)) + 1 at N_max = 20000
+    seen = {}
+    enumerate_ = ltconstant._c_prime_power
+
+    def recording(k, p, e, r, b, m):
+        seen[m, p] = max(seen.get((m, p), 0), e)
+        return enumerate_(k, p, e, r, b, m)
+
+    monkeypatch.setattr(ltconstant, "_c_prime_power", recording)
+    for m in (1, 4, 16):
+        _row_sums(1, m, _units(m), 60, 20000)
+    for (m, p), e in seen.items():
+        assert e <= max(1, _ord_ell(m, p)) + 1, (m, p, e)
+    assert seen[16, 2] == 5
 
 
 def test_generic_ratio_matches_enumeration():
@@ -169,6 +203,20 @@ def test_sum_tables_hold_the_current_n_max_only():
 def test_sum_rejects_int64_overflow():
     with pytest.raises(OverflowError):
         _row_sums(1, 1, [1], 2**16, 2**30)
+
+
+def test_sum_rejects_denominator_overflow_before_any_table():
+    # r^2 + 4 N K^2 fits in int64, but D(n) at k = 199 and n near N does not
+    with pytest.raises(OverflowError):
+        _row_sums(1, 1, [1], 200, 1_100_000)
+    assert 1_100_000 not in ltconstant._engines
+
+
+def test_constant_sum_frozen_values():
+    # frozen from the engine that enumerated c(k, p^e) at every p^e <= N_max
+    Q = parse_field("Q")
+    assert constant_sum(Q, 1, 200, 2000).value == 0.3901305908813148
+    assert constant_sum(Q, 1, 200, 5000).value == 0.39049301006730786
 
 
 def test_constant_sum_symmetric_in_trace_sign():
