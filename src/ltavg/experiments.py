@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from math import isqrt
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -147,6 +146,14 @@ def _checkpoint_ends(keys: list, xs: list[int]) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # prime-sharded execution
+
+
+def get_context(method: str):
+    """multiprocessing.get_context, imported at the first fork: a run that
+    never forks does not pay for loading multiprocessing."""
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
 
 
 def _map_primes(worker, items: list, workers: int, **config) -> list:
@@ -426,7 +433,7 @@ def _count_reductions(field, box: CurveBox, targets: list) -> tuple[int, float]:
     ps = [pr.p for pr in primes]
     if len(set(ps)) < len(ps):
         raise ValueError("the two primes must lie over distinct rational primes")
-    orbits = []  # each target's orbit, as codes a * p + b
+    orbits = []  # each target's orbit, as ascending codes a * p + b
     num, den = box.volume, 1
     for (target, _), p in zip(targets, ps):
         if target.f != 1 or target.p != p:
@@ -443,7 +450,10 @@ def _count_reductions(field, box: CurveBox, targets: list) -> tuple[int, float]:
     )
     match = np.ones((len(ua), len(ub)), dtype=bool)
     for k, (p, orbit) in enumerate(zip(ps, orbits)):
-        match &= np.isin(ua[:, k, None] * p + ub[None, :, k], orbit)
+        # binary search in the sorted orbit, so the |A| x |B| codes are never
+        # sorted; the sentinel p^2 exceeds every code
+        codes = ua[:, k, None] * p + ub[None, :, k]
+        match &= np.append(orbit, p * p)[np.searchsorted(orbit, codes)] == codes
     # one int / int division, so the float is correctly rounded
     return int(ca @ match @ cb), num / den
 

@@ -3,8 +3,9 @@
 Polynomials are tuples of ints (c0, c1, ..., cd) with coefficients in [0, p),
 trailing (highest-degree) coefficient nonzero; the zero polynomial is ().
 Degrees here stay tiny (<= 8), so for work at one prime plain Python integers
-beat any array layout.  The split test over many primes at once is batched on
-int64 arrays in numberfield instead; these functions remain its test oracle.
+beat any array layout.  The split test and the parse-time factor patterns,
+over many primes at once, are batched on int64 arrays in numberfield instead;
+these functions remain their test oracle.
 """
 from __future__ import annotations
 

@@ -5,16 +5,21 @@ root theta generates a Galois extension K/Q of degree n_K. Everything downstream
 works through the power basis 1, theta, ..., theta^(n_K - 1):
 
   * p splits completely  <=>  poly has n_K distinct roots mod p  (tested via
-    x^p = x mod (poly, p); p does not divide disc(poly)).  The test is batched
-    over primes: one square-and-multiply on int64 arrays with a row per prime.
+    x^p = x mod (poly, p); p does not divide disc(poly)).  One kernel,
+    _frobenius_x, computes x^p mod (poly, p) for many primes at once: a
+    square-and-multiply on int64 arrays with a row per coefficient and a
+    column per prime, each product folded back through a table of
+    x^(n+j) mod (poly, p).  It feeds both the split test and the factor
+    patterns below.
   * a degree-f prime above an unramified p is a degree-f irreducible factor of
     poly mod p; the residue field is F_p[t]/(factor) with theta mapped to t.
 
 Parsing imports sympy only as a fallback. disc(poly) is a Bareiss determinant
 of the Sylvester matrix, and the factor degrees of poly mod 100 unramified
 primes both prove irreducibility (_patterns_prove_irreducible) and check that
-K is Galois. Fields they cannot prove irreducible, such as biquadratic ones,
-import sympy for its irreducibility test.
+K is Galois. Those degrees come from gcd(poly, x^(p^i) - x), with x^(p^i)
+composed from the kernel's x^p. Fields they cannot prove irreducible, such
+as biquadratic ones, import sympy for its irreducibility test.
 
 The cyclotomic invariants (m_K, n_A, G_mK) describe the maximal abelian
 subfield A: n_A = [A:Q], m_K its conductor, and G_mK the group of residues
@@ -88,7 +93,8 @@ class GaloisFieldSpec:
         """All completely split p <= bound with p not dividing disc (no other filters)."""
         if bound > self._split_bound:
             grow = max(bound, 2 * self._split_bound)
-            self._split_list = _split_primes_raw(self.poly, self.n_K, self.disc, grow)
+            more = _split_primes_raw(self.poly, self.n_K, self.disc, self._split_bound, grow)
+            self._split_list = np.concatenate([self._split_list, more])
             self._split_bound = grow
         lst = self._split_list
         return lst[lst <= bound]
@@ -98,8 +104,10 @@ class GaloisFieldSpec:
         return tuple(gfpoly.roots(gfpoly.normalize(self.poly, p), p))
 
 
-def _split_primes_raw(poly, n_K, disc, bound) -> np.ndarray:
-    ps = sieve_primes(bound)
+def _split_primes_raw(poly, n_K, disc, low, high) -> np.ndarray:
+    """The completely split primes low < p <= high not dividing disc."""
+    ps = sieve_primes(high)
+    ps = ps[ps > low]
     if n_K == 1:
         return ps
     ps = np.array([p for p in ps.tolist() if disc % p], dtype=np.int64)
@@ -107,44 +115,65 @@ def _split_primes_raw(poly, n_K, disc, bound) -> np.ndarray:
 
 
 def _x_pow_p_is_x(poly, ps: np.ndarray) -> np.ndarray:
-    """Mask of the primes p in ps with x^p = x mod (poly, p), all p at once.
+    """Mask of the primes p in ps with x^p = x mod (poly, p), all p at once."""
+    x = np.zeros((len(poly) - 1, 1), dtype=np.int64)
+    x[1] = 1
+    return (_frobenius_x(poly, ps) == x).all(axis=0)
 
-    Row i of every array holds a residue mod (poly, ps[i]) in the power basis.
-    Requires a monic poly of degree n >= 2 and n * max(ps)^2 < 2^63, so that a
-    column of the schoolbook square fits in int64 before its reduction.
+
+def _frobenius_x(poly, ps: np.ndarray) -> np.ndarray:
+    """x^p mod (poly, p) for every p in ps at once, by square and multiply.
+
+    The result is an (n, len(ps)) array: column j holds the power-basis
+    coefficients of the residue mod (poly, ps[j]), and row i the coefficient of
+    x^i at every prime, so each step works on contiguous rows. Requires a monic
+    poly of degree n >= 2 and n * max(ps)^2 < 2^63; see _mulmod.
     """
     n = len(poly) - 1
-    if len(ps) == 0:
-        return np.zeros(0, dtype=bool)
-    if n * int(ps.max()) ** 2 >= 2**63:
-        raise OverflowError(f"split test needs n * p^2 < 2^63 (n={n}, p={int(ps.max())})")
-    # the coefficients may exceed int64, so reduce them as Python ints
-    low = np.array([[c % p for c in poly[:n]] for p in ps.tolist()], dtype=np.int64)
-    col = ps[:, None]
+    ps = np.asarray(ps, dtype=np.int64)
+    top = int(ps.max(initial=1))
+    if n * top**2 >= 2**63:
+        raise OverflowError(f"x^p mod (poly, p) needs n * p^2 < 2^63 (n={n}, p={top})")
+    fold = _fold_table(poly, ps)
+    r = np.zeros((n, len(ps)), dtype=np.int64)
+    r[0] = 1
+    for bit in range(top.bit_length() - 1, -1, -1):
+        r = _mulmod(r, r, fold, ps, (ps >> bit) & 1 == 1)
+    return r
 
-    def square(f):
-        prod = np.zeros((len(ps), 2 * n - 1), dtype=np.int64)
-        for i in range(n):
-            prod[:, i : i + n] += f[:, i : i + 1] * f
-        prod %= col
-        for k in range(2 * n - 2, n - 1, -1):  # x^k = x^(k-n) * (-low)
-            prod[:, k - n : k] = (prod[:, k - n : k] - prod[:, k : k + 1] * low) % col
-        return prod[:, :n]
 
-    def times_x(f):
-        out = np.empty_like(f)
-        out[:, 0] = 0
-        out[:, 1:] = f[:, :-1]
-        return (out - f[:, -1:] * low) % col
+def _fold_table(poly, ps: np.ndarray) -> np.ndarray:
+    """fold[j] = x^(n + j) mod (poly, p) for j < n, as an (n, n, len(ps)) array."""
+    n = len(poly) - 1
+    fold = np.zeros((n, n, len(ps)), dtype=np.int64)
+    # x^n = -(c_0 + ... + c_(n-1) x^(n-1)); a coefficient beyond int64 is
+    # reduced as a Python int
+    fold[0] = [-c % ps if abs(c) < 2**62 else [-c % p for p in ps.tolist()] for c in poly[:n]]
+    for j in range(1, n):
+        fold[j, 1:] = fold[j - 1, :-1]
+        fold[j] = (fold[j] + fold[j - 1, -1] * fold[0]) % ps
+    return fold
 
-    r = np.zeros((len(ps), n), dtype=np.int64)
-    r[:, 0] = 1
-    for bit in range(int(ps.max()).bit_length() - 1, -1, -1):
-        r = square(r)
-        r = np.where(((ps >> bit) & 1).astype(bool)[:, None], times_x(r), r)
-    x = np.zeros(n, dtype=np.int64)
-    x[1] = 1
-    return (r == x).all(axis=1)
+
+def _mulmod(a, b, fold, ps, times_x=False) -> np.ndarray:
+    """a * b mod (poly, p) column by column, times x in the columns where
+    times_x is set; a, b are (n, len(ps)) residues and fold is _fold_table.
+
+    Two reductions per product: one of the schoolbook coefficients, one after
+    the top half is folded down through the table. Before each, an entry is a
+    sum of at most n products below p^2 (plus one residue), so n * p^2 < 2^63
+    keeps it in int64.
+    """
+    n = len(a)
+    prod = np.zeros((2 * n + 1, a.shape[1]), dtype=np.int64)
+    for i in range(n):
+        prod[i + 1 : i + 1 + n] += a[i] * b
+    # row k of prod is the coefficient of x^k in x * a * b
+    prod = np.where(times_x, prod[:-1], prod[1:]) % ps
+    out = prod[:n]
+    for j in range(n):
+        out += prod[n + j] * fold[j]
+    return out % ps
 
 
 def admissible_primes(field: GaloisFieldSpec, x: int, r: int) -> list[int]:
@@ -250,16 +279,49 @@ def _residue_counts(ps: np.ndarray, q: int) -> dict[int, int]:
 
 def _factor_patterns(poly, disc) -> list[tuple[int, tuple[int, ...]]]:
     """(p, sorted factor degrees of poly mod p) for the first _N_PROBES primes
-    p < 4000 not dividing disc (fewer if there are not that many)."""
-    out = []
-    for p in sieve_primes(4000).tolist():
-        if disc % p == 0:
-            continue
-        ddf = gfpoly.distinct_degree_factor(gfpoly.normalize(poly, p), p)
-        out.append((p, tuple(sorted(d for d, g in ddf for _ in range(gfpoly.degree(g) // d)))))
-        if len(out) == _N_PROBES:
+    p < 4000 not dividing disc (fewer if there are not that many).
+
+    The Frobenius images x^(p^i) mod (poly, p), i <= n/2, come batched over the
+    probes: x^p from _frobenius_x, then each next one by composing with x^p,
+    x^(p^(i+1)) = sum_k [x^k] x^(p^i) * (x^p)^k, since Frobenius fixes F_p.
+    """
+    n = len(poly) - 1
+    probes = [p for p in sieve_primes(4000).tolist() if disc % p][:_N_PROBES]
+    ps = np.array(probes, dtype=np.int64)
+    fold = _fold_table(poly, ps)
+    x_p = _frobenius_x(poly, ps)
+    one = np.zeros_like(x_p)
+    one[0] = 1
+    powers = [one, x_p]  # (x^p)^k for k < n
+    while len(powers) < n:
+        powers.append(_mulmod(powers[-1], x_p, fold, ps))
+    images = [x_p]
+    while len(images) < n // 2:
+        images.append(sum(images[-1][k] * powers[k] for k in range(n)) % ps)
+    by_prime = np.stack(images).transpose(2, 0, 1).tolist()  # [prime][i - 1][coefficient]
+    return [(p, _factor_degrees(gfpoly.normalize(poly, p), hs, p)) for p, hs in zip(probes, by_prime)]
+
+
+def _factor_degrees(f, images, p) -> tuple[int, ...]:
+    """Sorted degrees of the irreducible factors of the squarefree monic f mod p,
+    given images[i - 1] = x^(p^i) mod (f, p) for i <= deg f / 2.
+
+    gcd(f, x^(p^i) - x) has one root for each root of f in F_(p^i), so its
+    degree is the sum of e * count[e] over the factor degrees e dividing i. As
+    in distinct-degree factorisation, what is left once 2i exceeds its degree
+    is one irreducible factor.
+    """
+    count = [0] * (len(f) + 1)
+    left = len(f) - 1
+    for i, h in enumerate(images, 1):
+        if 2 * i > left:
             break
-    return out
+        roots = gfpoly.degree(gfpoly.gcd(f, gfpoly.add(h, (0, p - 1), p), p))
+        count[i] = (roots - sum(e * count[e] for e in range(1, i) if i % e == 0)) // i
+        left -= i * count[i]
+    if left:
+        count[left] += 1
+    return tuple(d for d, c in enumerate(count) for _ in range(c))
 
 
 def _patterns_prove_irreducible(patterns, n: int) -> bool:

@@ -9,7 +9,11 @@ by direct summation), is_fundamental, c_coefficient (the enumeration that
 ltconstant's series coefficients are checked against), and
 trace_counts_gather (trace counts by gathering every character value, where
 the package correlates by FFT) and trace_table_gather (every trace over F_p
-by the same gather, where the package folds x -> -x into a float32 product).
+by the same gather, where the package folds x -> -x into a float32 product),
+factor_patterns_ddf (mod-p factor degrees by one distinct-degree
+factorisation per prime, where the package composes batched Frobenius
+images) and pi_half_mpmath (li differences from mpmath, where the package
+sums a fixed-point series).
 """
 
 import functools
@@ -214,6 +218,27 @@ def c_coefficient(k, n, r, b, m):
             continue
         total += kronecker(a, n)
     return total
+
+
+def pi_half_mpmath(x):
+    """(li(sqrt x) - li(sqrt 2)) / 2 from mpmath at 30 digits, rounded once."""
+    with mpmath.workdps(30):
+        return float((mpmath.li(mpmath.sqrt(x)) - mpmath.li(mpmath.sqrt(2))) / 2)
+
+
+def factor_patterns_ddf(poly, disc, probes=100):
+    """(p, sorted degrees of the irreducible factors of poly mod p) for the
+    first `probes` primes p < 4000 not dividing disc, one scalar
+    distinct-degree factorisation each."""
+    out = []
+    for p in range(2, 4000):
+        if not is_prime(p) or disc % p == 0:
+            continue
+        ddf = gfpoly.distinct_degree_factor(gfpoly.normalize(poly, p), p)
+        out.append((p, tuple(sorted(d for d, g in ddf for _ in range(gfpoly.degree(g) // d)))))
+        if len(out) == probes:
+            break
+    return out
 
 
 def pi_half_quad(x):

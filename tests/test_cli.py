@@ -374,6 +374,18 @@ def test_ltavg_does_not_load_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_cold_start_loads_neither_mpmath_nor_multiprocessing():
+    # pi_half sums its own series, and the fork pool imports multiprocessing
+    # at its first fork, so a run that does neither pays for neither import
+    code = (
+        "import sys, ltavg; ltavg.parse_field('Q_zeta5'); ltavg.pi_half(10**4); "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'mpmath', 'multiprocessing'}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_parse_field_does_not_load_sympy():
     # the mod-p factor patterns prove every preset irreducible, so sympy's
     # irreducibility test (and its 0.3 s import) is never reached

@@ -1,11 +1,13 @@
 """Average-constant machinery: comparison integral, local factors, series."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from _oracles import c_coefficient, pi_half_quad
+from _oracles import c_coefficient, pi_half_mpmath, pi_half_quad
 from ltavg import (
     constant_product,
     constant_sum,
@@ -24,6 +26,17 @@ def test_pi_half_matches_quadrature():
     for x in (3, 10, 100, 1_000, 10_000, 100_000):
         want = pi_half_quad(x)
         assert abs(pi_half(x) - want) <= math.ulp(want), x
+
+
+def test_pi_half_matches_mpmath_bit_for_bit():
+    # the fixed-point series and mpmath's li at 30 digits round to the same float
+    rng = random.Random(21)
+    xs = [2, 2.0, 2.5, 10**12, 1e12] + list(range(3, 1200))
+    xs += [math.exp(rng.uniform(math.log(2), math.log(1e12))) for _ in range(600)]
+    xs += [rng.randrange(1200, 10**12) for _ in range(400)]
+    for x in xs:
+        assert pi_half(x) == pi_half_mpmath(x), x
+    assert pi_half(np.int64(10**4)) == pi_half(10_000.0) == pi_half(10**4)
 
 
 def test_pi_half_frozen_values():

@@ -12,8 +12,17 @@ from ltavg import (
     empirical_norm_residues,
     parse_field,
 )
-from ltavg import experiments, gfpoly
-from ltavg.numberfield import PRESETS, _poly_discriminant, _x_pow_p_is_x, admissible_primes
+from _oracles import factor_patterns_ddf
+from ltavg import experiments, gfpoly, numberfield
+from ltavg.numberfield import (
+    PRESETS,
+    GaloisFieldSpec,
+    _factor_patterns,
+    _frobenius_x,
+    _poly_discriminant,
+    _x_pow_p_is_x,
+    admissible_primes,
+)
 
 
 def test_preset_invariants():
@@ -156,6 +165,51 @@ def test_batched_split_test_matches_scalar_oracle():
             continue
         K = parse_field(name)
         assert K.split_primes(bound).tolist() == _scalar_split(K.poly, K.disc, primes), name
+
+
+def test_split_primes_growth_tests_only_new_primes(monkeypatch):
+    # each growth of the split list runs the kernel on the primes above the
+    # old bound alone, and the grown list holds every split prime once
+    tested = []
+    kernel = numberfield._x_pow_p_is_x
+    monkeypatch.setattr(numberfield, "_x_pow_p_is_x", lambda poly, ps: tested.append(ps.tolist()) or kernel(poly, ps))
+    K = GaloisFieldSpec(name="zeta3", poly=(1, 1, 1), n_K=2, disc=-3, m_K=3, n_A=2, G_mK=frozenset({1}))
+    for bound in (1000, 1500, 5000):
+        K.split_primes(bound)
+    assert [(ps[0], ps[-1]) for ps in tested] == [(2, 997), (1009, 1999), (2003, 4999)]
+    assert sum(tested, []) == [p for p in sympy.primerange(2, 5001) if p != 3]
+    want = [p for p in sympy.primerange(2, 5001) if p % 3 == 1]
+    assert K.split_primes(5000).tolist() == want
+
+
+def test_frobenius_kernel_matches_scalar_powmod():
+    # x^p mod (poly, p) at every unramified p < 10^4, against gfpoly one prime at a time
+    primes = list(sympy.primerange(2, 10_000))
+    for name, poly in PRESETS.items():
+        if len(poly) < 3:
+            continue
+        disc = _poly_discriminant(poly)
+        ps = [p for p in primes if disc % p]
+        got = _frobenius_x(poly, np.array(ps, dtype=np.int64))
+        for p, column in zip(ps, got.T.tolist()):
+            assert gfpoly.trim(column) == gfpoly.x_pow_p_mod(gfpoly.normalize(poly, p), p), (name, p)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        *(poly for poly in PRESETS.values() if len(poly) > 2),
+        (-2, 0, 0, 1),  # x^3 - 2, not Galois: patterns 1+2 and 1+1+1
+        (1, 0, -10, 0, 1),  # Q(sqrt2, sqrt3)
+        (1, 0, 0, 1, 0, 0, 1),  # x^6 + x^3 + 1, Q(zeta9)
+        (4, 0, 5, 0, 1),  # (x^2 + 1)(x^2 + 4)
+        (6, 0, -5, 0, 1),  # (x^2 - 2)(x^2 - 3)
+        (-30, 0, 31, 0, -10, 0, 1),  # (x^2 - 2)(x^2 - 3)(x^2 - 5): 1+1+2+2 at p = 7
+    ],
+)
+def test_factor_patterns_match_distinct_degree_factorisation(poly):
+    disc = _poly_discriminant(poly)
+    assert _factor_patterns(poly, disc) == factor_patterns_ddf(poly, disc)
 
 
 def _shifted(poly, c):
