@@ -261,15 +261,17 @@ def aut_size(a: int, b: int, p: int) -> int:
     return gcd(6, p - 1)
 
 
-def isomorphism_orbit(a: int, b: int, p: int) -> list[tuple[int, int]]:
-    """All models (u^4 a, u^6 b) isomorphic to (a, b) over F_p, sorted."""
+def _orbit_codes(a: int, b: int, p: int) -> np.ndarray:
+    """isomorphism_orbit(a, b, p) as the ascending int64 codes a' * p + b'."""
     u = np.arange(1, p, dtype=np.int64)
     u2 = u * u % p
     u4 = u2 * u2 % p
-    u6 = u4 * u2 % p
-    pairs = np.stack([u4 * (a % p) % p, u6 * (b % p) % p], axis=1)
-    uniq = np.unique(pairs, axis=0)
-    return [(int(x), int(y)) for x, y in uniq]
+    return np.unique(u4 * (a % p) % p * p + u4 * u2 % p * (b % p) % p)
+
+
+def isomorphism_orbit(a: int, b: int, p: int) -> list[tuple[int, int]]:
+    """All models (u^4 a, u^6 b) isomorphic to (a, b) over F_p, sorted."""
+    return [divmod(code, p) for code in _orbit_codes(a, b, p).tolist()]
 
 
 # rows per block in SmallField.mul, whose int64 temporaries are rows long

@@ -44,7 +44,7 @@ from .numberfield import (
     empirical_norm_residues,
 )
 from .primes import is_prime, sieve_primes
-from .report import ExperimentReport, constant_provenance, make_row
+from .report import ExperimentReport, constant_provenance, make_row, phase
 
 DESK_CARDINALITY_BOUND = 10**6
 
@@ -441,8 +441,7 @@ def _count_reductions(field, box: CurveBox, targets: list) -> tuple[int, float]:
         a0, b0 = curves._as_prime_field_int(target.a, p), curves._as_prime_field_int(target.b, p)
         if curves.is_singular(a0, b0, p):
             raise ValueError("singular target rejected")
-        orbit = np.array(curves.isomorphism_orbit(a0, b0, p), dtype=np.int64)
-        orbits.append(orbit[:, 0] * p + orbit[:, 1])
+        orbits.append(curves._orbit_codes(a0, b0, p))
         num, den = num * (p - 1), den * p * p * curves.aut_size(a0, b0, p)
     (ua, ca), (ub, cb) = (
         np.unique(np.stack([_reduce(side, pr) for pr in primes], axis=1), axis=0, return_counts=True)
@@ -560,13 +559,15 @@ def constant_report(field, r: int, method: str = "both", k_max: int = 200, n_max
     r = int(r)
     if method not in ("sum", "product", "both"):
         raise ValueError("method must be sum, product, or both")
-    prov = {}
+    prov, metadata = {}, {}
     series = prod = None
     if method in ("product", "both"):
-        prod = constant_product(field, r, l_max)
+        with phase(metadata, "product"):
+            prod = constant_product(field, r, l_max)
         prov["product"] = constant_provenance(prod)
     if method in ("sum", "both"):
-        series = constant_sum(field, r, k_max, n_max)
+        with phase(metadata, "sum"):
+            series = constant_sum(field, r, k_max, n_max)
         prov["sum"] = constant_provenance(series)
     if method == "both":
         rows = [make_row(n_max, series.value, prod.value)]
@@ -579,5 +580,6 @@ def constant_report(field, r: int, method: str = "both", k_max: int = 200, n_max
         config={"field": field.name, "r": r, "method": method},
         rows=rows,
         constant=prov,
+        metadata=metadata,
     )
     return report.finish(started)

@@ -21,7 +21,7 @@ import numpy as np
 from .classnumber import _KRON2, kronecker
 from .curves import quadratic_character
 from .numberfield import _as_field
-from .primes import factorize_slow, phi_from_factors, phi_sieve, sieve_primes
+from .primes import factorize_slow, phi_from_factors, phi_sieve, sieve_primes, spf_sieve
 
 
 @dataclass(frozen=True)
@@ -255,15 +255,17 @@ def _c_prime_power(k: int, p: int, e: int, r: int, b: int, m: int) -> int:
     return int((quadratic_character(p)[a % p] ** e).sum())
 
 
-def _generic_ratio(p: int, e: int, r: int) -> int:
-    """c(k, p^e) / c(k, 1) at an odd prime p that divides neither k nor m.
+def _generic_ratio(p, e, r, k=1):
+    """c(k, p^e) / c(k, 1) at an odd prime p not dividing m (elementwise on arrays).
 
     By CRT the p-part of c counts a mod p^e with weight (a|p)^e, leaving out
     the class a = r^2/k^2 mod p, where p would divide r^2 - a k^2.  That class
-    is a nonzero square when p does not divide r, and the class 0 when it does.
+    is a nonzero square when p divides neither r nor k, and the class 0 when p
+    divides r.  When p divides k, r^2 - a k^2 = r^2 mod p for every a, so no
+    class is left out (miss = 0; c(k, 1) = 0 if p divides r too).
     """
-    miss = 1 if r % p else 0
-    return p ** (e - 1) * (-miss if e % 2 else p - 1 - miss)
+    miss = (r % p != 0) & (k % p != 0)
+    return p ** (e - 1) * ((1 - e % 2) * (p - 1) - miss)
 
 
 def _c_by_period(k: int, p: int, r: int, b: int, m: int):
@@ -301,67 +303,83 @@ def _put_prime(f: np.ndarray, p: int, local) -> None:
         q, e = q * p, e + 1
 
 
-# phi(n) for n <= N_max and the odd primes up to N_max, for the last N_max only
-_engines: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# for the last N_max: phi(n), odd part of n, v_2(n), and odd n = p^v rest (p = spf(n)) in rounds of omega(n)
+_engines: dict[int, tuple] = {}
 
 
-def _tables(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _tables(n_max: int) -> tuple:
     if n_max not in _engines:
         _engines.clear()
-        _engines[n_max] = (phi_sieve(n_max), sieve_primes(n_max)[1:])
+        n = np.arange(n_max + 1, dtype=np.int64)
+        p = np.maximum(spf_sieve(n_max), 1)
+        v, rest = np.ones_like(n), n // p
+        live = np.flatnonzero(p > 1)
+        while len(live := live[rest[live] % p[live] == 0]):
+            v[live] += 1
+            rest[live] //= p[live]
+        done, rounds = (n % 2 == 0) | (n == 1), []
+        while not done.all():
+            ready = np.flatnonzero(~done & done[rest])
+            done[ready] = True
+            rounds.append((ready, rest[ready], p[ready], v[ready]))
+        _engines[n_max] = (phi_sieve(n_max), np.where(p == 2, rest, n), np.where(p == 2, v, 0), rounds)
     return _engines[n_max]
+
+
+def _generic_table(r: int, n_max: int) -> np.ndarray:
+    """Product of _generic_ratio(p, v_p(n), r) over odd p | n, in rounds of omega(n)."""
+    _, odd, _, rounds = _tables(n_max)
+    g = np.ones(n_max + 1, dtype=np.int64)
+    for idx, rest, p, v in rounds:
+        g[idx] = g[rest] * _generic_ratio(p, v, r)
+    return g[odd]
 
 
 def _row_sums(r: int, m: int, units, k_max: int, n_max: int) -> dict[tuple[int, int], float]:
     """The inner n-sums of the series: row (b, k) is sum over n <= n_max of c(k, n) / D(n).
 
     D(n) = n k phi(m) phi(n k^2) / phi(gcd(n k^2, m)).  Both c(k, n) / c(k, 1)
-    and D(n) / D(1) are multiplicative in n, so a row is c(k, 1)/D(1) times
-    the sum of one multiplicative function.  A row with c(k, 1) = 0 is zero.
-    Each c(k, n) is built as an exact integer by one sieve: the closed form of
-    _generic_ratio at the odd primes not dividing k m, and _c_by_period at
-    p = 2 and at the odd primes dividing k m, which enumerates c(k, p^e) only
-    for e <= e0 + 1, e0 = max(1, v_p(m)), and steps by c(k, p^(e+2)) =
-    p^2 c(k, p^e) above.  A (b, k) row so enumerates at most 4 p^(e0+1)
-    residues at each prime p of 2km whatever N_max is, and its sieve and sum
-    cost O(N_max).  Every term is then an exact integer over an exact integer,
-    summed with math.fsum.  D(n) <= N_max^2 K_max^3 phi(m) must fit in int64;
-    that is checked before any table is built.
+    and D(n) / D(1) are multiplicative in n.  A row with c(k, 1) = 0 is zero,
+    and a k with no nonzero row (every even k for odd r) builds no D(n).  The
+    exact c(k, n) is c(k, 2^v_2(n)) (c(k, 1) for odd n) times _generic_table at
+    the odd part of n, reset at the odd primes of k (_generic_ratio, miss = 0)
+    and of m (_c_by_period, which enumerates only there and at p = 2, for
+    e <= max(1, v_p(m)) + 1).  Terms are exact int / int quotients summed by
+    math.fsum.  D(n) <= N_max^2 K_max^3 phi(m) must fit in int64; that is
+    checked before any table is built.
     """
     if r * r + 4 * n_max * k_max**2 >= 2**63:
         raise OverflowError("r^2 - a k^2 with a < 4 N_max must fit in int64")
     if n_max**2 * k_max**3 * phi_from_factors(factorize_slow(m)) >= 2**63:
         raise OverflowError("D(n) = n k phi(m) phi(n k^2) / phi(gcd(n k^2, m)) must fit in int64")
-    phi, primes = _tables(n_max)
-    generic = np.ones(n_max + 1, dtype=np.int64)
-    for p in primes.tolist():
-        _put_prime(generic, p, lambda e: _generic_ratio(p, e, r))
+    phi, odd, v2, _ = _tables(n_max)
+    generic = _generic_table(r, n_max)
+    odd, v2, e_top = odd[1:], v2[1:], int(v2.max())
     n = np.arange(1, n_max + 1, dtype=np.int64)
     phi_of = phi_sieve(m)
     rows = {}
     for k in range(1, k_max + 1):
+        c1 = {b: _c_prime_power(k, 2, 0, r, b, m) for b in units}
+        rows.update(((b, k), 0.0) for b in units)
+        if not any(c1.values()):
+            continue
         k2 = k * k
         phi_nk2 = phi[1:] * k2
-        for ell in factorize_slow(k):
+        primes_k = factorize_slow(k)
+        for ell in primes_k:
             away = n % ell != 0
             phi_nk2[away] = phi_nk2[away] // ell * (ell - 1)
         denom = n * k * (phi_of[m] * phi_nk2 // phi_of[np.gcd(n * k2, m)])
-        special = [p for p in factorize_slow(k * m) if p > 2]
-        for b in units:
-            c1 = _c_prime_power(k, 2, 0, r, b, m)
-            if c1 == 0:
-                rows[b, k] = 0.0
-                continue
-            # c(k, 1) is the 2-part at n = 1: every odd part at n = 1 is 1 on a
-            # nonzero row, so c(k, 2^e) is the 2-part itself and c(k, p^e)
-            # is c(k, 1) times the p-part
+        for b in filter(c1.get, units):
             coef = generic.copy()
-            for p in special:
-                c_p = _c_by_period(k, p, r, b, m)
-                _put_prime(coef, p, lambda e: c_p(e) // c1)
-            _put_prime(coef, 2, _c_by_period(k, 2, r, b, m))
-            coef[1::2] *= c1
-            rows[b, k] = math.fsum((coef[1:] / denom).tolist())
+            for p in {p for p in [*primes_k, *factorize_slow(m)] if p > 2}:
+                if m % p:
+                    _put_prime(coef, p, lambda e: _generic_ratio(p, e, r, k))
+                else:
+                    c_p = _c_by_period(k, p, r, b, m)
+                    _put_prime(coef, p, lambda e: c_p(e) // c1[b])
+            t = np.array([c1[b], *map(_c_by_period(k, 2, r, b, m), range(1, e_top + 1))], dtype=np.int64)
+            rows[b, k] = math.fsum((coef[odd] * t[v2] / denom).tolist())
     return rows
 
 

@@ -28,19 +28,14 @@ def spf_sieve(bound: int) -> np.ndarray:
         if spf[p] == p:  # p prime
             block = spf[p * p :: p]
             block[block == np.arange(p * p, bound + 1, p)] = p
-    if bound >= 1:
-        spf[1] = 1
     return spf
 
 
 def phi_sieve(bound: int) -> np.ndarray:
     """Euler totient for 0..bound (phi[0] = 0)."""
     phi = np.arange(bound + 1, dtype=np.int64)
-    for p in range(2, bound + 1):
-        if phi[p] == p:  # untouched, hence prime
-            phi[p::p] -= phi[p::p] // p
-    if bound >= 0:
-        phi[0] = 0
+    for p in sieve_primes(bound).tolist():
+        phi[p::p] -= phi[p::p] // p
     return phi
 
 

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -71,6 +72,18 @@ class ExperimentReport:
         self.metadata["runtime_seconds"] = round(time.time() - started, 3)
         self.metadata["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
         return self
+
+
+@contextmanager
+def phase(metadata: dict, name: str):
+    """Add the block's wall time to metadata["phases"][name]["seconds"], keep the
+    counters the block puts in the yielded entry, and record peak_rss_mb."""
+    entry = metadata.setdefault("phases", {}).setdefault(name, {"seconds": 0.0})
+    started = time.perf_counter()
+    yield entry
+    entry["seconds"] = round(entry["seconds"] + time.perf_counter() - started, 6)
+    import resource  # on first use, so runs that time no phase never load it
+    metadata["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def constant_provenance(estimate) -> dict:

@@ -12,8 +12,10 @@ the package correlates by FFT) and trace_table_gather (every trace over F_p
 by the same gather, where the package folds x -> -x into a float32 product),
 factor_patterns_ddf (mod-p factor degrees by one distinct-degree
 factorisation per prime, where the package composes batched Frobenius
-images) and pi_half_mpmath (li differences from mpmath, where the package
-sums a fixed-point series).
+images), pi_half_mpmath (li differences from mpmath, where the package
+sums a fixed-point series) and generic_table_by_primes (the series' generic
+coefficient table one prime at a time, where the package fills it in rounds
+from the least-prime split of n).
 """
 
 import functools
@@ -27,7 +29,8 @@ import numpy as np
 from ltavg import gfpoly
 from ltavg.classnumber import is_valid_discriminant, kronecker, unit_count_w
 from ltavg.curves import quadratic_character
-from ltavg.primes import factorize_slow, is_prime
+from ltavg.ltconstant import _generic_ratio, _put_prime
+from ltavg.primes import factorize_slow, is_prime, sieve_primes
 
 
 def hurwitz_all_forms(D):
@@ -218,6 +221,15 @@ def c_coefficient(k, n, r, b, m):
             continue
         total += kronecker(a, n)
     return total
+
+
+def generic_table_by_primes(r, n_max):
+    """The product of _generic_ratio(p, v_p(n), r) over the odd primes p of n,
+    for 0 <= n <= n_max, put in by one _put_prime call per odd prime."""
+    f = np.ones(n_max + 1, dtype=np.int64)
+    for p in sieve_primes(n_max)[1:].tolist():
+        _put_prime(f, p, lambda e: _generic_ratio(p, e, r))
+    return f
 
 
 def pi_half_mpmath(x):

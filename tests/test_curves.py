@@ -231,6 +231,17 @@ def test_isomorphism_orbit_structure():
                 assert trace_mod_p(a2, b2, p) == t
 
 
+def test_orbit_codes_are_the_isomorphic_models():
+    # ascending int64 codes a' * p + b' of exactly the models isomorphic to (a, b)
+    for p in (5, 7, 13, 17):
+        for a, b in ((1, 1), (0, 2), (3, 0), (-1, 4)):
+            codes = curves._orbit_codes(a, b, p)
+            assert codes.dtype == np.int64
+            want = [a2 * p + b2 for a2 in range(p) for b2 in range(p) if models_isomorphic(a, b, a2, b2, p)]
+            assert codes.tolist() == want, (p, a, b)
+            assert isomorphism_orbit(a, b, p) == [divmod(c, p) for c in want]
+
+
 def test_aut_size_special_j_invariants():
     assert aut_size(0, 1, 13) == 6   # j = 0, p = 1 mod 3
     assert aut_size(0, 1, 7) == 6

@@ -39,7 +39,7 @@ from ltavg.experiments import (
 from ltavg.ltconstant import constant_product
 from ltavg.numberfield import PRESETS, admissible_primes, degree_f_primes
 from ltavg.primes import is_prime
-from ltavg.report import ExperimentReport, constant_provenance, make_row
+from ltavg.report import ExperimentReport, constant_provenance, make_row, phase
 
 
 def _Q():
@@ -513,6 +513,33 @@ def test_constant_report_both_methods():
     for prov in rep.constant.values():
         assert prov["tail_estimate"] > 0
         assert prov["field"] == "Q" and prov["r"] == 1
+
+
+def test_constant_report_phases_stay_out_of_the_body():
+    # the phase times and peak RSS go in metadata only: two runs differ there
+    # and nowhere in body_json()
+    reps = [constant_report(_Q(), 1, method=method, k_max=20, n_max=100, l_max=1000)
+            for method in ("both", "both", "sum")]
+    for rep in reps:
+        assert rep.metadata["peak_rss_mb"] > 0
+        assert all(ph["seconds"] >= 0 for ph in rep.metadata["phases"].values())
+        assert "phases" in json.loads(rep.to_json())["metadata"]
+        assert "phases" not in rep.body_json() and "peak_rss" not in rep.body_json()
+    assert set(reps[0].metadata["phases"]) == {"product", "sum"}
+    assert set(reps[2].metadata["phases"]) == {"sum"}
+    assert reps[0].body_json() == reps[1].body_json()
+
+
+def test_phase_accumulates_time_and_counters():
+    metadata = {}
+    with phase(metadata, "merge") as entry:
+        entry["rows"] = 3
+    with phase(metadata, "merge"):
+        pass
+    assert set(metadata["phases"]) == {"merge"}
+    assert metadata["phases"]["merge"]["rows"] == 3
+    assert metadata["phases"]["merge"]["seconds"] >= 0
+    assert metadata["peak_rss_mb"] > 0
 
 
 def test_per_prime_memos_hold_the_current_prime_only():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import c_coefficient, pi_half_mpmath, pi_half_quad
+from _oracles import c_coefficient, generic_table_by_primes, pi_half_mpmath, pi_half_quad
 from ltavg import (
     constant_product,
     constant_sum,
@@ -196,6 +196,45 @@ def test_generic_ratio_matches_enumeration():
                 want = Fraction(c_coefficient(k, p**e, r, b, m), c1)
                 assert _generic_ratio(p, e, r) == want, (k, r, b, m, p, e)
                 e += 1
+
+
+def test_closed_form_at_odd_primes_of_k():
+    # odd p | k, p not dividing m: c(k, p^e) = c(k, 1) * _generic_ratio(p, e, r, k),
+    # with p | r (a zero row), p not dividing r, and p^2 | k
+    for p in (3, 5, 7):
+        for k in (p, 2 * p, 3 * p, p * p):
+            for r in (1, -1, 2, 4, p, 2 * p):
+                for m, b in ((1, 1), (4, 3), (8, 5), (3, 2), (5, 2)):
+                    if m % p == 0:
+                        continue
+                    c1 = _c_prime_power(k, 2, 0, r, b, m)
+                    for e in range(1, 5):
+                        got = c1 * _generic_ratio(p, e, r, k)
+                        assert got == _c_prime_power(k, p, e, r, b, m), (p, k, r, m, b, e)
+                        if p**e <= 125:
+                            assert got == c_coefficient(k, p**e, r, b, m), (p, k, r, m, b, e)
+
+
+def test_generic_table_matches_the_put_prime_build():
+    for n_max in (1, 2, 16, 300, 2000):
+        for r in (0, 1, -1, 2, 6):
+            want = generic_table_by_primes(r, n_max)
+            assert np.array_equal(ltconstant._generic_table(r, n_max), want), (n_max, r)
+
+
+def test_enumeration_only_at_two_and_the_odd_primes_of_m(monkeypatch):
+    # the odd primes of k that do not divide m take the closed form
+    seen = set()
+    enumerate_ = ltconstant._c_prime_power
+
+    def recording(k, p, e, r, b, m):
+        seen.add((m, p))
+        return enumerate_(k, p, e, r, b, m)
+
+    monkeypatch.setattr(ltconstant, "_c_prime_power", recording)
+    for r, m in ((1, 1), (2, 1), (2, 5), (1, 15), (0, 12)):
+        _row_sums(r, m, _units(m), 200, 300)
+    assert seen == {(1, 2), (5, 2), (5, 5), (15, 2), (15, 3), (15, 5), (12, 2), (12, 3)}
 
 
 def test_row_with_zero_first_coefficient_is_zero():
