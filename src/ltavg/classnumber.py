@@ -22,8 +22,8 @@ from .primes import sieve_primes
 
 _KRON2 = (0, 1, 0, -1, 0, -1, 0, 1)  # (a/2) indexed by a mod 8
 
-# each memo is emptied when it reaches _MEMO_LIMIT entries, so a long
-# `classnum --table` run holds at most that many
+# hurwitz_H and class_number_h, which `classnum --D` and L1_formula reach,
+# fill these memos; each is emptied when it reaches _MEMO_LIMIT entries
 _MEMO_LIMIT = 1 << 16
 _h_memo: dict[int, int] = {}
 _hurwitz_memo: dict[int, Fraction] = {}

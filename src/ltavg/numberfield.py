@@ -23,8 +23,11 @@ as biquadratic ones, import sympy for its irreducibility test.
 
 The cyclotomic invariants (m_K, n_A, G_mK) describe the maximal abelian
 subfield A: n_A = [A:Q], m_K its conductor, and G_mK the group of residues
-mod m_K hit by the norms of split primes. They are measured empirically from
-split-prime residues, never assumed from theory.
+mod m_K hit by the norms of split primes. They are measured from the
+split-prime residues mod one bound M = conductor_bound(disc, n_K), a multiple
+of m_K, with a prime budget that doubles until the residue group is stable.
+When primes of the index of poly put M out of reach, M comes from the field
+discriminant instead, by sympy's round-two algorithm.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ from .primes import divisors_from_factors, factorize_slow, phi_from_factors, sie
 
 MIN_WITNESSES = 20
 _N_PROBES = 100  # primes whose factor patterns parse_field inspects
-DEFAULT_MAX_MODULUS = 2000
+_PRIME_CEILING = 10**7  # split primes abelian_invariants may test; guards time and memory
 
 PRESETS: dict[str, tuple[int, ...]] = {
     "Q": (0, 1),
@@ -51,10 +54,6 @@ PRESETS: dict[str, tuple[int, ...]] = {
     # degree-6 splitting field of x^3 - 2: minimal polynomial of 2^(1/3) + zeta_3
     "S3_x3m2": (9, 9, 0, 3, 6, 3, 1),
 }
-
-# per-preset cap on candidate moduli (the sextic's disc is 2^4 * 3^17; divisors
-# near the generic cap would force a needlessly large witness budget)
-_PRESET_MAX_MODULUS = {"S3_x3m2": 200}
 
 
 @dataclass
@@ -180,15 +179,13 @@ def admissible_primes(field: GaloisFieldSpec, x: int, r: int) -> list[int]:
     """The admissible completely split primes p <= x, ascending.
 
     Filters: p > max(5, r^2/4), p splits completely, p does not divide
-    disc(poly) or m_K, and (for n_K >= 2) p does not divide poly(0), the
-    power-basis surrogate for the basis-element condition.
+    disc(poly) (so neither m_K), and (for n_K >= 2) p does not divide poly(0),
+    the power-basis surrogate for the basis-element condition.
     """
     c0 = field.poly[0]
     out = []
     for p in field.split_primes(x).tolist():
         if 4 * p <= max(20, r * r):
-            continue
-        if field.m_K % p == 0:
             continue
         if field.n_K >= 2 and c0 % p == 0:
             continue
@@ -230,48 +227,56 @@ def empirical_norm_residues(field: GaloisFieldSpec, q: int, p_budget: int) -> fr
     return frozenset(counts)
 
 
-def abelian_invariants(
-    field: GaloisFieldSpec, max_modulus: int = DEFAULT_MAX_MODULUS
-) -> tuple[int, int, frozenset[int]]:
-    """Measure (m_K, n_A, G_mK) from split-prime residues.
+def conductor_bound(disc: int, n_K: int) -> int:
+    """The product of p^(1 + v_p(n_K)) over the odd p | disc, times 2^(2 + v_2(n_K))
+    if 2 | disc: a multiple of m_K, as every ramified prime divides disc and a
+    character of conductor p^k, whose order divides n_A | n_K, has order
+    divisible by p^(k - 1), or by 2^(k - 2) when p = 2 and k >= 3."""
+    v = factorize_slow(n_K)
+    return math.prod(p ** (1 + (p == 2) + v.get(p, 0)) for p in factorize_slow(abs(disc)))
 
-    Candidate moduli q run over divisors of 4*|disc(poly)| up to max_modulus,
-    and the split primes run up to max(20000, 100 * max candidate).
-    For each, the empirical index I(q) = phi(q)/|G_q| is computed at half and
-    full budget; unstable candidates are discarded. n_A is the maximal stable
-    index, m_K the least q attaining it. Raises RuntimeError if nothing stable
-    remains: such a field needs more split primes than this budget.
+
+def abelian_invariants(field: GaloisFieldSpec) -> tuple[int, int, frozenset[int]]:
+    """Measure (m_K, n_A, G_mK) from the split-prime residues mod M = conductor_bound.
+
+    The prime budget starts at 20000 and doubles, up to _PRIME_CEILING (then a
+    RuntimeError), until G_M, the residues mod M, is the same at half budget
+    and every class has MIN_WITNESSES primes. Split primes are prime to M, so
+    G_q is the image of G_M for q | M: n_A = phi(M)/|G_M|, and m_K is the
+    least q | M with phi(q) = n_A |G_q|. If 2 MIN_WITNESSES phi(M) exceeds the
+    primes below the ceiling, as index primes of poly can make it, M comes
+    from d_K instead.
     """
-    cands = [q for q in divisors_from_factors(factorize_slow(4 * abs(field.disc))) if q <= max_modulus]
-    p_budget = max(20000, 100 * max(cands))
-    ps_full = field.split_primes(p_budget)
-    half = p_budget // 2
-    best: dict[int, tuple[int, frozenset[int]]] = {}
-    for q in cands:
-        counts = _residue_counts(ps_full, q)
-        g_full = frozenset(counts)
-        if g_full != frozenset(_residue_counts(ps_full[ps_full <= half], q)) or not g_full:
-            continue  # unstable under budget doubling
-        if min(counts.values()) < MIN_WITNESSES:
-            continue
-        phi_q = phi_from_factors(factorize_slow(q))
-        if phi_q % len(g_full) != 0:
-            raise ArithmeticError(f"empirical G_{q} is not subgroup-sized: {sorted(g_full)}")
-        best[q] = (phi_q // len(g_full), g_full)
-    if not best:
-        raise RuntimeError(
-            f"no candidate modulus up to {max_modulus} gave a stable residue group "
-            f"from the split primes up to {p_budget}"
-        )
-    n_A = max(idx for idx, _ in best.values())
-    m_K = min(q for q, (idx, _) in best.items() if idx == n_A)
-    return m_K, n_A, frozenset(best[m_K][1])
+    M = conductor_bound(field.disc, field.n_K)
+    need = 2 * MIN_WITNESSES * phi_from_factors(factorize_slow(M))
+    # C / log C < pi(C) for C >= 17, so the sieve to C runs only near the edge
+    if need > _PRIME_CEILING / math.log(_PRIME_CEILING) and need > len(sieve_primes(_PRIME_CEILING)):
+        from sympy.polys.numberfields import round_two  # returns (Z_K, d_K)
+
+        M = conductor_bound(int(round_two(_sympy_poly(field.poly))[1]), field.n_K)
+    budget = 20000
+    while True:
+        ps = field.split_primes(budget)
+        counts = _residue_counts(ps, M)
+        half = _residue_counts(ps[ps <= budget // 2], M)
+        if min(counts.values(), default=0) >= MIN_WITNESSES and counts.keys() == half.keys():
+            break
+        if budget >= _PRIME_CEILING:
+            raise RuntimeError(f"no stable residue group mod M = {M} from the split primes up to {budget}")
+        budget = min(2 * budget, _PRIME_CEILING)
+    fac = factorize_slow(M)
+    phi_M = phi_from_factors(fac)
+    if phi_M % len(counts):
+        raise ArithmeticError(f"empirical G_{M} is not subgroup-sized: {sorted(counts)}")
+    n_A = phi_M // len(counts)
+    for q in divisors_from_factors(fac):
+        G_q = frozenset(a % q for a in counts)
+        if phi_from_factors(factorize_slow(q)) == n_A * len(G_q):
+            return q, n_A, G_q if q > 1 else frozenset({1})
 
 
 def _residue_counts(ps: np.ndarray, q: int) -> dict[int, int]:
-    """The p in ps prime to q, counted by residue a mod q (q = 1 has the one class a = 1)."""
-    if q == 1:
-        return {1: len(ps)} if len(ps) else {}
+    """The p in ps prime to q, counted by residue a mod q."""
     ps = ps[np.gcd(ps, q) == 1]
     res, counts = np.unique(ps % q, return_counts=True)
     return {int(a): int(c) for a, c in zip(res, counts)}
@@ -342,11 +347,10 @@ def _patterns_prove_irreducible(patterns, n: int) -> bool:
     return False
 
 
-def _sympy_irreducible(poly) -> bool:
+def _sympy_poly(poly):
     import sympy
 
-    x = sympy.symbols("x")
-    return sympy.Poly(sum(c * x**i for i, c in enumerate(poly)), x).is_irreducible
+    return sympy.Poly(poly[::-1], sympy.symbols("x"))
 
 
 def _check_galois_degrees(patterns) -> None:
@@ -368,9 +372,9 @@ def parse_field(source) -> GaloisFieldSpec:
     A source that is neither a preset nor a readable field file is a ValueError.
     """
     if not isinstance(source, str):
-        return _build_field(tuple(source), "field", DEFAULT_MAX_MODULUS)
+        return _build_field(tuple(source), "field")
     if source in PRESETS:
-        return _build_field(PRESETS[source], source, _PRESET_MAX_MODULUS.get(source, DEFAULT_MAX_MODULUS))
+        return _build_field(PRESETS[source], source)
     try:
         with open(source) as fh:
             data = json.load(fh)
@@ -386,7 +390,7 @@ def parse_field(source) -> GaloisFieldSpec:
         and isinstance(data.get("name", ""), str)
     ):
         raise ValueError(f'field file {source!r} must be a JSON object of a number list "poly" and optionally a string "name"')
-    return _build_field(tuple(data["poly"]), data.get("name", "field"), DEFAULT_MAX_MODULUS)
+    return _build_field(tuple(data["poly"]), data.get("name", "field"))
 
 
 def _as_field(field) -> GaloisFieldSpec:
@@ -400,7 +404,7 @@ def _as_field(field) -> GaloisFieldSpec:
 _field_memo: dict[tuple, GaloisFieldSpec] = {}
 
 
-def _build_field(poly, name, max_modulus) -> GaloisFieldSpec:
+def _build_field(poly, name) -> GaloisFieldSpec:
     if any(int(c) != c for c in poly):
         raise ValueError("poly coefficients must be integers")
     poly = tuple(int(c) for c in poly)
@@ -418,14 +422,14 @@ def _build_field(poly, name, max_modulus) -> GaloisFieldSpec:
         raise ValueError("poly is not squarefree")
     if n_K > 1:
         patterns = _factor_patterns(poly, disc)
-        if not _patterns_prove_irreducible(patterns, n_K) and not _sympy_irreducible(poly):
+        if not _patterns_prove_irreducible(patterns, n_K) and not _sympy_poly(poly).is_irreducible:
             raise ValueError("poly is reducible over Q")
         _check_galois_degrees(patterns)
     spec = GaloisFieldSpec(
         name=name, poly=poly, n_K=n_K, disc=disc, m_K=1, n_A=1, G_mK=frozenset({1})
     )
     if n_K > 1:
-        spec.m_K, spec.n_A, spec.G_mK = abelian_invariants(spec, max_modulus)
+        spec.m_K, spec.n_A, spec.G_mK = abelian_invariants(spec)
     _validate_group(spec)
     _field_memo[key] = spec
     return spec

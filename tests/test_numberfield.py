@@ -23,6 +23,7 @@ from ltavg.numberfield import (
     _x_pow_p_is_x,
     admissible_primes,
 )
+from ltavg.primes import sieve_primes
 
 
 def test_preset_invariants():
@@ -313,3 +314,90 @@ def test_biquadratic_field_parses_through_sympy_fallback():
 def test_parse_field_error_order(poly, error, match):
     with pytest.raises(error, match=match):
         parse_field(poly)
+
+
+# (poly, m_K, n_A, G_mK) from the theory of cyclotomic fields: A is the
+# maximal abelian subfield, m_K its conductor and G_mK the residues mod m_K
+# of the primes that split completely in A
+_THEORY_GRID = [
+    (PRESETS["Q_i"], 4, 2, {1}),
+    (PRESETS["Q_sqrt2"], 8, 2, {1, 7}),
+    (PRESETS["Q_zeta3"], 3, 2, {1}),
+    (PRESETS["Q_zeta5"], 5, 4, {1}),
+    (PRESETS["S3_x3m2"], 3, 2, {1}),  # A = Q(zeta3)
+    (tuple(_shifted(PRESETS["Q_zeta5"], 10**6)), 5, 4, {1}),
+    ((1, 0, -10, 0, 1), 24, 4, {1, 23}),  # Q(sqrt2, sqrt3)
+    ((1, 1, 1, 1, 1, 1, 1), 7, 6, {1}),  # Phi_7
+    ((1, 0, 0, 1, 0, 0, 1), 9, 6, {1}),  # Q(zeta9)
+    ((1, 0, 0, 0, 1), 8, 4, {1}),  # Q(zeta8)
+    ((1, 0, -1, 0, 1), 12, 4, {1}),  # Q(zeta12)
+    ((1, -2, -1, 1), 7, 3, {1, 6}),  # Q(zeta7)^+
+    ((-1, -1, 1), 5, 2, {1, 4}),  # Q(sqrt5)
+    ((2, -1, 1), 7, 2, {1, 2, 4}),  # Q(sqrt-7)
+    ((-3, 0, 1), 12, 2, {1, 11}),  # Q(sqrt3)
+    ((-6, 0, 1), 24, 2, {1, 5, 19, 23}),  # Q(sqrt6)
+    ((5, 0, 1), 20, 2, {1, 3, 7, 9}),  # Q(sqrt-5)
+    ((2, 0, -4, 0, 1), 16, 4, {1, 15}),  # Q(zeta16)^+
+    ((1, 0, 0, 0, 0, 0, 0, 0, 1), 16, 8, {1}),  # Q(zeta16)
+    ((2, 0, -16, 0, 20, 0, -8, 0, 1), 32, 8, {1, 31}),  # 2cos(pi/16), Q(zeta32)^+
+    ((1, 0, 28, 0, 2, 0, 4, 0, 1), 8, 4, {1}),  # 2^(1/4) + i, dihedral with A = Q(zeta8)
+    ((16, 12, -3, 1, 6, 3, 1), 3, 2, {1}),  # 3^(1/3) + zeta3, S3 with A = Q(zeta3)
+    ((9, 0, -14, 0, 1), 40, 4, {1, 9, 31, 39}),  # sqrt2 + sqrt5
+]
+
+
+@pytest.mark.parametrize("poly, m_K, n_A, G_mK", _THEORY_GRID)
+def test_abelian_invariants_match_theory(poly, m_K, n_A, G_mK):
+    K = parse_field(list(poly))
+    assert (K.m_K, K.n_A, K.G_mK) == (m_K, n_A, frozenset(G_mK))
+    assert numberfield.conductor_bound(K.disc, K.n_K) % m_K == 0
+
+
+def test_conductor_bound_is_tight_at_two():
+    # conductors 16 and 32 with n_K = 4 and 8: the 2-exponent 2 + v_2(n_K) is attained
+    for poly, m_K in (((2, 0, -4, 0, 1), 16), ((2, 0, -16, 0, 20, 0, -8, 0, 1), 32)):
+        K = parse_field(list(poly))
+        assert numberfield.conductor_bound(K.disc, K.n_K) == K.m_K == m_K
+
+
+@pytest.mark.parametrize("ell, poly", [(1997, [-499, -1, 1]), (2017, [-504, -1, 1])])
+def test_quadratic_field_of_large_prime_conductor(ell, poly):
+    # Q(sqrt ell) for ell = 1 mod 4 has conductor ell and G_mK the squares mod ell
+    K = parse_field(poly)
+    squares = {a for a in range(1, ell) if pow(a, (ell - 1) // 2, ell) == 1}
+    assert (K.disc, K.m_K, K.n_A, K.G_mK) == (ell, ell, 2, frozenset(squares))
+
+
+def test_index_prime_takes_the_bound_from_the_field_discriminant(monkeypatch):
+    # 10007 zeta7 has disc(poly) = -7^5 10007^30, so 10007 divides the bound
+    # from disc(poly) but is not ramified; round two gives d_K = -7^5
+    import sympy.polys.numberfields as nf
+
+    seen = []
+    round_two = nf.round_two
+
+    def spy(T):
+        seen.append(round_two(T))
+        return seen[-1]
+
+    monkeypatch.setattr(nf, "round_two", spy)
+    monkeypatch.setattr(numberfield, "_field_memo", {})
+    K = parse_field([10007 ** (6 - i) for i in range(7)])
+    assert (K.m_K, K.n_A, K.G_mK) == (7, 6, frozenset({1}))
+    assert [d_K for _, d_K in seen] == [-(7**5)]
+
+
+def test_abelian_invariants_raises_past_the_prime_ceiling(monkeypatch):
+    # Q(sqrt2017) needs split primes past 5 * 10^4 for 20 witnesses per square class
+    monkeypatch.setattr(numberfield, "_PRIME_CEILING", 50_000)
+    K = GaloisFieldSpec(name="sqrt2017", poly=(-504, -1, 1), n_K=2, disc=2017, m_K=1, n_A=1, G_mK=frozenset({1}))
+    with pytest.raises(RuntimeError, match="M = 2017"):
+        numberfield.abelian_invariants(K)
+
+
+def test_abelian_invariants_of_a_perfect_galois_group(monkeypatch):
+    # a field with no abelian subfield but Q has split primes in every unit
+    # class mod M; stand in for one with every prime not dividing disc = 5
+    K = GaloisFieldSpec(name="perfect", poly=(1, 1, 1), n_K=2, disc=5, m_K=1, n_A=1, G_mK=frozenset({1}))
+    monkeypatch.setattr(K, "split_primes", lambda bound: (ps := sieve_primes(bound))[ps != 5])
+    assert numberfield.abelian_invariants(K) == (1, 1, frozenset({1}))
