@@ -23,11 +23,9 @@ as biquadratic ones, import sympy for its irreducibility test.
 
 The cyclotomic invariants (m_K, n_A, G_mK) describe the maximal abelian
 subfield A: n_A = [A:Q], m_K its conductor, and G_mK the group of residues
-mod m_K hit by the norms of split primes. They are measured from the
-split-prime residues mod one bound M = conductor_bound(disc, n_K), a multiple
-of m_K, with a prime budget that doubles until the residue group is stable.
-When primes of the index of poly put M out of reach, M comes from the field
-discriminant instead, by sympy's round-two algorithm.
+mod m_K hit by the norms of split primes. They are measured from the split
+primes mod one bound M = conductor_bound(disc, n_K), a multiple of m_K, modulo
+n_K-th powers, with a prime budget that doubles until the group is stable.
 """
 from __future__ import annotations
 
@@ -39,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import gfpoly
-from .primes import divisors_from_factors, factorize_slow, phi_from_factors, sieve_primes
+from .primes import factorize_slow, phi_from_factors, sieve_primes
 
 MIN_WITNESSES = 20
 _N_PROBES = 100  # primes whose factor patterns parse_field inspects
@@ -216,15 +214,16 @@ def empirical_norm_residues(field: GaloisFieldSpec, q: int, p_budget: int) -> fr
         raise ValueError("q must be positive")
     if q == 1:
         return frozenset({1})
-    counts = _residue_counts(field.split_primes(p_budget), q)
-    thinnest = min(counts.values(), default=MIN_WITNESSES)
+    ps = field.split_primes(p_budget)
+    res, counts = np.unique(ps[np.gcd(ps, q) == 1] % q, return_counts=True)
+    thinnest = min(counts.tolist(), default=MIN_WITNESSES)
     if thinnest < MIN_WITNESSES:
         warnings.warn(
             f"empirical G_{q}: thinnest residue class has {thinnest} "
             f"witnesses (< {MIN_WITNESSES}); increase p_budget",
             stacklevel=2,
         )
-    return frozenset(counts)
+    return frozenset(res.tolist())
 
 
 def conductor_bound(disc: int, n_K: int) -> int:
@@ -237,49 +236,65 @@ def conductor_bound(disc: int, n_K: int) -> int:
 
 
 def abelian_invariants(field: GaloisFieldSpec) -> tuple[int, int, frozenset[int]]:
-    """Measure (m_K, n_A, G_mK) from the split-prime residues mod M = conductor_bound.
+    """Measure (m_K, n_A, G_mK) from G_M, the residues mod M = conductor_bound of
+    the split primes, taken modulo n_K-th powers so that few primes fill it.
 
     The prime budget starts at 20000 and doubles, up to _PRIME_CEILING (then a
-    RuntimeError), until G_M, the residues mod M, is the same at half budget
-    and every class has MIN_WITNESSES primes. Split primes are prime to M, so
-    G_q is the image of G_M for q | M: n_A = phi(M)/|G_M|, and m_K is the
-    least q | M with phi(q) = n_A |G_q|. If 2 MIN_WITNESSES phi(M) exceeds the
-    primes below the ceiling, as index primes of poly can make it, M comes
-    from d_K instead.
+    RuntimeError), until MIN_WITNESSES split primes lie above half the budget
+    and none leaves the group generated below it. Split primes are prime to M,
+    so G_q for q | M is the image of G_M. Then n_A = phi(M)/|G_M|, and m_K, the
+    least q | M with phi(q) = n_A |G_q|, comes from dividing M by its primes
+    while that holds.
     """
-    M = conductor_bound(field.disc, field.n_K)
-    need = 2 * MIN_WITNESSES * phi_from_factors(factorize_slow(M))
-    # C / log C < pi(C) for C >= 17, so the sieve to C runs only near the edge
-    if need > _PRIME_CEILING / math.log(_PRIME_CEILING) and need > len(sieve_primes(_PRIME_CEILING)):
-        from sympy.polys.numberfields import round_two  # returns (Z_K, d_K)
-
-        M = conductor_bound(int(round_two(_sympy_poly(field.poly))[1]), field.n_K)
+    n_K = field.n_K
+    M = conductor_bound(field.disc, n_K)
     budget = 20000
     while True:
-        ps = field.split_primes(budget)
-        counts = _residue_counts(ps, M)
-        half = _residue_counts(ps[ps <= budget // 2], M)
-        if min(counts.values(), default=0) >= MIN_WITNESSES and counts.keys() == half.keys():
+        ps = field.split_primes(budget).tolist()
+        units = {p % M for p in ps}
+        G_M = _norm_group(units, M, n_K)[0]
+        late = sum(2 * p > budget for p in ps)
+        if late >= MIN_WITNESSES and G_M == _norm_group({p % M for p in ps if 2 * p <= budget}, M, n_K)[0]:
             break
         if budget >= _PRIME_CEILING:
             raise RuntimeError(f"no stable residue group mod M = {M} from the split primes up to {budget}")
         budget = min(2 * budget, _PRIME_CEILING)
-    fac = factorize_slow(M)
-    phi_M = phi_from_factors(fac)
-    if phi_M % len(counts):
-        raise ArithmeticError(f"empirical G_{M} is not subgroup-sized: {sorted(counts)}")
-    n_A = phi_M // len(counts)
-    for q in divisors_from_factors(fac):
-        G_q = frozenset(a % q for a in counts)
-        if phi_from_factors(factorize_slow(q)) == n_A * len(G_q):
-            return q, n_A, G_q if q > 1 else frozenset({1})
+    n_A = phi_from_factors(factorize_slow(M)) // G_M
+    if n_K % n_A:
+        raise ArithmeticError(f"empirical n_A = {n_A} does not divide n_K = {n_K}")
+    m = M
+    for p in factorize_slow(M):
+        while m % p == 0 and phi_from_factors(factorize_slow(m // p)) == n_A * _norm_group(units, m // p, n_K)[0]:
+            m //= p
+    _, power_class, H = _norm_group(units, m, n_K)
+    return m, n_A, frozenset(a for a in range(1, max(m, 2)) if math.gcd(a, m) == 1 and power_class(a) in H)
 
 
-def _residue_counts(ps: np.ndarray, q: int) -> dict[int, int]:
-    """The p in ps prime to q, counted by residue a mod q."""
-    ps = ps[np.gcd(ps, q) == 1]
-    res, counts = np.unique(ps % q, return_counts=True)
-    return {int(a): int(c) for a, c in zip(res, counts)}
+def _norm_group(ps, q: int, n_K: int):
+    """G_q, generated by ps and the n_K-th powers mod q | M, as (|G_q|, power_class, H).
+
+    Split primes ps give the G_q of the text, which holds the n_K-th powers as
+    Gal(A/Q) has exponent dividing n_K. A unit a lies in G_q iff power_class(a),
+    a^k mod pe for each pe || q glued by CRT, lies in H, the span of the ps.
+    Here k = lambda(pe)/gcd(lambda(pe), n_K) is the order of the kernel, the
+    n_K-th powers, since (Z/pe)^* is cyclic or has exponent dividing n_K.
+    """
+    parts = []
+    for p, e in factorize_slow(q).items():
+        pe = p**e
+        lam = (p - 1) * p ** (e - 1) // (2 if p == 2 and e >= 3 else 1)
+        parts.append((pe, lam // math.gcd(lam, n_K), q // pe * pow(q // pe, -1, pe)))
+
+    def power_class(a: int) -> int:
+        return sum(c * pow(a, k, pe) for pe, k, c in parts) % q
+
+    H = {1 % q}
+    for g in {power_class(p) for p in ps}:
+        coset, r = H, g
+        while r not in H:  # the cosets g^j H are new until g^j lies in H
+            coset = {h * g % q for h in coset}
+            H, r = H | coset, r * g % q
+    return math.prod(k for _, k, _ in parts) * len(H), power_class, H
 
 
 def _factor_patterns(poly, disc) -> list[tuple[int, tuple[int, ...]]]:
@@ -347,10 +362,11 @@ def _patterns_prove_irreducible(patterns, n: int) -> bool:
     return False
 
 
-def _sympy_poly(poly):
+def _sympy_irreducible(poly) -> bool:
     import sympy
 
-    return sympy.Poly(poly[::-1], sympy.symbols("x"))
+    x = sympy.symbols("x")
+    return sympy.Poly(sum(c * x**i for i, c in enumerate(poly)), x).is_irreducible
 
 
 def _check_galois_degrees(patterns) -> None:
@@ -422,7 +438,7 @@ def _build_field(poly, name) -> GaloisFieldSpec:
         raise ValueError("poly is not squarefree")
     if n_K > 1:
         patterns = _factor_patterns(poly, disc)
-        if not _patterns_prove_irreducible(patterns, n_K) and not _sympy_poly(poly).is_irreducible:
+        if not _patterns_prove_irreducible(patterns, n_K) and not _sympy_irreducible(poly):
             raise ValueError("poly is reducible over Q")
         _check_galois_degrees(patterns)
     spec = GaloisFieldSpec(
@@ -443,12 +459,14 @@ def _validate_group(spec: GaloisFieldSpec) -> None:
     else:
         if 1 not in G:
             raise ValueError("G_mK must contain 1")
+        members = np.zeros(m, dtype=bool)
         for a in G:
             if not 1 <= a < m or math.gcd(a, m) != 1:
                 raise ValueError(f"G_mK element {a} is not a unit residue mod m_K={m}")
-            for b in G:
-                if (a * b) % m not in G:
-                    raise ValueError("G_mK is not closed under multiplication")
+            members[a] = True
+        G_arr = np.array(sorted(G), dtype=np.int64)
+        if not all(members[a * G_arr % m].all() for a in G):  # one row of products at a time
+            raise ValueError("G_mK is not closed under multiplication")
     phi_m = phi_from_factors(factorize_slow(m))
     if spec.n_A * len(G) != phi_m:
         raise ValueError(f"n_A * |G_mK| must equal phi(m_K): {spec.n_A}*{len(G)} != {phi_m}")

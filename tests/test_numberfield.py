@@ -342,6 +342,10 @@ _THEORY_GRID = [
     ((2, 0, -16, 0, 20, 0, -8, 0, 1), 32, 8, {1, 31}),  # 2cos(pi/16), Q(zeta32)^+
     ((1, 0, 28, 0, 2, 0, 4, 0, 1), 8, 4, {1}),  # 2^(1/4) + i, dihedral with A = Q(zeta8)
     ((16, 12, -3, 1, 6, 3, 1), 3, 2, {1}),  # 3^(1/3) + zeta3, S3 with A = Q(zeta3)
+    # 1009^(1/3) + zeta3 and 2017^(1/3) + zeta3: 1009 and 2017 ramify in K but not
+    # in A, and disc(poly) has the index primes 5, 7, 101 and 7, 1009
+    ((1020100, 3030, -3021, -2011, 6, 3, 1), 3, 2, {1}),
+    ((4072324, 6054, -6045, -4027, 6, 3, 1), 3, 2, {1}),
     ((9, 0, -14, 0, 1), 40, 4, {1, 9, 31, 39}),  # sqrt2 + sqrt5
 ]
 
@@ -368,29 +372,33 @@ def test_quadratic_field_of_large_prime_conductor(ell, poly):
     assert (K.disc, K.m_K, K.n_A, K.G_mK) == (ell, ell, 2, frozenset(squares))
 
 
-def test_index_prime_takes_the_bound_from_the_field_discriminant(monkeypatch):
-    # 10007 zeta7 has disc(poly) = -7^5 10007^30, so 10007 divides the bound
-    # from disc(poly) but is not ramified; round two gives d_K = -7^5
-    import sympy.polys.numberfields as nf
-
-    seen = []
-    round_two = nf.round_two
-
-    def spy(T):
-        seen.append(round_two(T))
-        return seen[-1]
-
-    monkeypatch.setattr(nf, "round_two", spy)
+@pytest.mark.parametrize(
+    "base, c, invariants",
+    [("Q_zeta5", 3001, (5, 4, {1})), ("S3_x3m2", 10007, (3, 2, {1})), ((1,) * 7, 10007, (7, 6, {1}))],
+)
+def test_index_primes_parse_at_the_first_budget(monkeypatch, base, c, invariants):
+    # c * theta has disc(poly) = c^(n(n-1)) disc(theta), so c divides M without
+    # ramifying; it adds at most n_K classes modulo n_K-th powers, and the split
+    # primes up to 20000 settle the invariants
+    poly = PRESETS[base] if isinstance(base, str) else base
+    n = len(poly) - 1
+    bounds = []
+    split_primes = GaloisFieldSpec.split_primes
+    monkeypatch.setattr(GaloisFieldSpec, "split_primes", lambda K, x: bounds.append(x) or split_primes(K, x))
     monkeypatch.setattr(numberfield, "_field_memo", {})
-    K = parse_field([10007 ** (6 - i) for i in range(7)])
-    assert (K.m_K, K.n_A, K.G_mK) == (7, 6, frozenset({1}))
-    assert [d_K for _, d_K in seen] == [-(7**5)]
+    K = parse_field([a * c ** (n - i) for i, a in enumerate(poly)])
+    m_K, n_A, G_mK = invariants
+    assert (K.m_K, K.n_A, K.G_mK) == (m_K, n_A, frozenset(G_mK))
+    assert numberfield.conductor_bound(K.disc, K.n_K) % c == 0
+    assert max(bounds) == 20000
 
 
 def test_abelian_invariants_raises_past_the_prime_ceiling(monkeypatch):
-    # Q(sqrt2017) needs split primes past 5 * 10^4 for 20 witnesses per square class
+    # a stand-in for Q(sqrt2017) whose split primes stop at 1000 never has
+    # MIN_WITNESSES of them above half the budget
     monkeypatch.setattr(numberfield, "_PRIME_CEILING", 50_000)
     K = GaloisFieldSpec(name="sqrt2017", poly=(-504, -1, 1), n_K=2, disc=2017, m_K=1, n_A=1, G_mK=frozenset({1}))
+    monkeypatch.setattr(K, "split_primes", lambda bound: sieve_primes(1000)[1:])
     with pytest.raises(RuntimeError, match="M = 2017"):
         numberfield.abelian_invariants(K)
 
@@ -401,3 +409,33 @@ def test_abelian_invariants_of_a_perfect_galois_group(monkeypatch):
     K = GaloisFieldSpec(name="perfect", poly=(1, 1, 1), n_K=2, disc=5, m_K=1, n_A=1, G_mK=frozenset({1}))
     monkeypatch.setattr(K, "split_primes", lambda bound: (ps := sieve_primes(bound))[ps != 5])
     assert numberfield.abelian_invariants(K) == (1, 1, frozenset({1}))
+
+
+def test_abelian_invariants_raises_on_an_index_not_dividing_n_K(monkeypatch):
+    # a stand-in for Q(i) whose split primes are all 1 mod 8 measures n_A = 4 > n_K
+    K = GaloisFieldSpec(name="i", poly=(1, 0, 1), n_K=2, disc=-4, m_K=1, n_A=1, G_mK=frozenset({1}))
+    monkeypatch.setattr(K, "split_primes", lambda bound: (ps := sieve_primes(bound))[ps % 8 == 1])
+    with pytest.raises(ArithmeticError, match="n_A = 4"):
+        numberfield.abelian_invariants(K)
+
+
+def test_abelian_invariants_doubles_the_budget_while_late_primes_widen_the_group(monkeypatch):
+    # a stand-in for Q(i) whose split primes are 1 mod 8 up to 15000: the ones
+    # 5 mod 8 above it leave the group generated below 10000, so 20000 is not enough
+    K = GaloisFieldSpec(name="i", poly=(1, 0, 1), n_K=2, disc=-4, m_K=1, n_A=1, G_mK=frozenset({1}))
+    bounds = []
+
+    def split_primes(bound):
+        bounds.append(bound)
+        ps = sieve_primes(bound)
+        return ps[(ps % 8 == 1) | ((ps > 15000) & (ps % 4 == 1))]
+
+    monkeypatch.setattr(K, "split_primes", split_primes)
+    assert numberfield.abelian_invariants(K) == (4, 2, frozenset({1}))
+    assert bounds == [20000, 40000]
+
+
+def test_validate_group_rejects_a_set_not_closed_under_multiplication():
+    K = GaloisFieldSpec(name="i", poly=(1, 0, 1), n_K=2, disc=-4, m_K=8, n_A=2, G_mK=frozenset({1, 3, 5}))
+    with pytest.raises(ValueError, match="not closed"):
+        numberfield._validate_group(K)
