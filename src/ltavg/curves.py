@@ -2,20 +2,21 @@
 
 Curves are short Weierstrass models y^2 = x^3 + a*x + b in characteristic
 at least 5.  Traces come from quadratic character sums, over F_p or over
-F_p[t]/(modulus) with the character read off the squares.
+F_p[t]/(modulus) with the character read off the squares; trace tables over
+F_p work in discrete-log coordinates, where each histogram is one of three rows shifted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, isqrt
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gfpoly
-from .primes import is_prime
+from .primes import factorize_slow, is_prime
 
 # per-prime tables are kept for the current prime only: runners visit each
 # prime once, in order, and the tables grow with p
@@ -66,32 +67,18 @@ def trace_mod_p(a: int, b: int, p: int) -> int:
     return -int(chi[vals + b].sum())
 
 
-# cells per block of rows in _cubic_blocks: 64 KB per int64 buffer
-_BLOCK_CELLS = 1 << 13
-
-
-def _cubic_blocks(p: int, a: np.ndarray):
-    """Yield (lo, v) for blocks of the reduced values a, where
-    v[k, x] = (x^3 + a[lo + k]*x) mod p for 0 <= x < (p + 1)/2.
-
-    v is a view of one int64 buffer of about _BLOCK_CELLS cells that is
-    overwritten at the next step; the caller may change it in place.
-    """
-    x = np.arange((p + 1) // 2, dtype=np.int64)
-    cubic = (x * x % p) * x % p
-    rows = max(1, min(len(a), _BLOCK_CELLS // len(x)))
-    buf = np.empty((rows, len(x)), dtype=np.int64)
-    quo = np.empty_like(buf)
-    for lo in range(0, len(a), rows):
-        v, q = buf[: len(a) - lo], quo[: len(a) - lo]
-        np.multiply(a[lo : lo + rows, None], x, out=v)
-        v += cubic
-        # v % p as v - (v // p) * p: numpy divides by a scalar through
-        # libdivide, about four times faster than its remainder
-        np.floor_divide(v, p, out=q)
-        q *= p
-        v -= q
-        yield lo, v
+def _discrete_log(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 tables power[k] = g^k, k < p - 1, and log[g^k] = k, log[0] = p - 1, for
+    the least primitive root g; power from the g^i and g^(s*j), i, j < s ~ sqrt(p)."""
+    cofactors = [(p - 1) // q for q in factorize_slow(p - 1)]
+    g = next(c for c in range(2, p) if all(pow(c, k, p) != 1 for k in cofactors))
+    s = isqrt(p - 2) + 1
+    low = list(accumulate(repeat(g, s - 1), lambda v, r: v * r % p, initial=1))
+    high = accumulate(repeat(low[-1] * g % p, (p - 2) // s), lambda v, r: v * r % p, initial=1)
+    power, log = np.empty(p - 1, dtype=np.int32), np.empty(p, dtype=np.int32)
+    np.remainder(np.multiply.outer(np.array(list(high)), np.array(low)).ravel()[: p - 1], p, out=power)
+    log[power], log[0] = np.arange(p - 1, dtype=np.int32), p - 1
+    return power, log
 
 
 def trace_matrix(p: int, a_values, b_values):
@@ -102,44 +89,63 @@ def trace_matrix(p: int, a_values, b_values):
     pairs where that model is an elliptic curve (traces are garbage at
     singular pairs).
 
-    Each trace -sum_x chi(x^3 + a*x + b) is read as -sum_v N_a(v) chi(v + b),
-    with N_a(v) = #{x in F_p : x^3 + a*x = v}.  x^3 + a*x is odd, so
-    N_a(-v) = N_a(v), and with h = (p + 1)/2 and the folded histogram
-    H_a(u) = #{0 <= x < h : x^3 + a*x = +-u} for 0 <= u < h,
-      N_a(0) = 2*H_a(0) - 1 (x = 0 is counted once), N_a(u) = H_a(u) for u >= 1,
-      trace(a, b) = -[N_a(0) chi(b) + sum_{u=1}^{h-1} N_a(u) (chi(b + u) + chi(b - u))].
-    So the table is -(N @ W) for the (|A|, h) histogram N and the (h, |B|)
-    window W[0, j] = chi(b_j), W[u, j] = chi(b_j + u) + chi(b_j - u).  Cost is
-    (|A| + |B|) * h numpy work plus one |A| x h by h x |B| float32 product.
-    That product is exact for p < 2^24: each N is an integer in [0, 3], each
-    W in [-2, 2], and every partial sum is an integer of absolute value at
-    most N_a(0) + 2 * (p - N_a(0))/2 = p.
+    trace(a, b) = -sum_v N_a(v) chi(v + b), N_a(v) = #{x : x^3 + a*x = v}, is
+    read in discrete-log coordinates v = g^k, g the least primitive root and
+    H = (p - 1)/2.  N_a(-v) = N_a(v) and -1 = g^H, so
+      trace(a, b) = -[N_a(0) chi(b) + sum_{k<H} N_a(g^k) (chi(b + g^k) + chi(b - g^k))].
+    x = lambda*y gives N_a(v) = N_{a/lambda^2}(v/lambda^3), so for a = g^e,
+    t = floor(e/2), k -> N_a(g^k) is B_c[k - 3t], B_c[k] = N_c(g^k), with c = 1
+    for even e, c = g for odd e, and N_a(0) = N_c(0) = 2 + chi(-c).  The row
+    B_0 of a = 0 is 3 at k = 0 mod 3 and 0 elsewhere if 3 | p - 1, else 1 (x^3
+    is then a bijection), and N_0(0) = 1.  For b = g^f, chi(b + g^k) +
+    chi(b - g^k) = chi(b) S[k - f], S[j] = chi(1 + g^j) + chi(1 - g^j), and for
+    b = 0 the window is W0[k] = (1 + chi(-1)) (-1)^k.  With s_b = chi(b) (1 at 0),
+      trace(a, b) = -s_b (N_a(0) [b != 0] + (N W^T)[a, b])
+    for N the gather of shifted rows of (B_0, B_1, B_g) and W that of (S, S, W0).
+    The O(p) work per prime (g, g^k, the logs, two histograms) is the same for
+    any |A|.  The float32 product is exact for p < 2^24: N is in [0, 3], W in
+    [-2, 2], and every partial sum is an integer of size at most 2 sum_k N_a(g^k) <= p.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("characteristic must be a prime greater than 3")
     if p >= 2**24:
         raise OverflowError("float32 character sums are exact only for p < 2^24")
-    h = (p + 1) // 2
+    H = (p - 1) // 2
     avals = np.asarray(a_values, dtype=np.int64) % p
     bvals = np.asarray(b_values, dtype=np.int64) % p
-    hist = np.empty((len(avals), h), dtype=np.float32)
-    for lo, v in _cubic_blocks(p, avals):
-        # fold v to min(v, p - v), then row k of the block counts into bins
-        # k*h .. k*h + h - 1
-        np.minimum(v, p - v, out=v)
-        v += h * np.arange(len(v))[:, None]
-        hist[lo : lo + len(v)] = np.bincount(v.ravel(), minlength=v.size).reshape(v.shape)
-    hist[:, 0] = 2 * hist[:, 0] - 1
-    # the doubled table makes row b of the view chi[b : b + h], and row
-    # b + p - h + 1 reversed chi(b - u) for 0 <= u < h
+    power, log = _discrete_log(p)
+    g = int(power[1])
+    e = log[np.concatenate([avals, bvals])]
+    ea, eb = e[: len(avals)], e[len(avals) :]
+    # the rows S, S, W0; W0 is 0 unless p = 1 mod 4, and then H is even
     chi = quadratic_character(p)
-    rows = sliding_window_view(chi, h)
-    window = rows[bvals].astype(np.float32)
-    window += rows[bvals + (p - h + 1), ::-1]
-    window[:, 0] = chi[bvals]
-    traces = -(hist @ window.T).astype(np.int64)
+    w = int(chi[p - 1])
+    src = np.empty(3 * H, dtype=np.float32)
+    np.add(chi[power[:H] + 1], chi[power[H:] + 1], out=src[:H], dtype=np.float32)
+    src[H : 2 * H] = src[:H]
+    src[2 * H :: 2], src[2 * H + 1 :: 2] = 1 + w, -1 - w
+    # the rows B_0, B_1, B_g, each twice over; B_1 and B_g count x in 1..H,
+    # as x and -x give v and -v, whose logs agree mod H
+    rows = np.zeros((3, 2 * H), dtype=np.float32)
+    rows[0] = 1 if H % 3 else 3 * (np.arange(2 * H) % 3 == 0)
+    x = np.arange(1, H + 1, dtype=np.int64)
+    cube = x * x % p * x
+    for i, c in ((1, 1), (2, g)):
+        counts = np.bincount(log[(cube + c * x) % p], minlength=p)
+        np.add(counts[:H], counts[H : 2 * H], out=rows[i, :H], casting="unsafe")
+    rows[1:, H:] = rows[1:, :H]
+    del power, log, x, cube, counts
+    # row i of each view is table[i : i + H]
+    family = np.where(avals == 0, 0, 1 + (ea & 1))
+    hist = np.ndarray((5 * H + 1, H), np.float32, rows, 0, (4, 4))[family * (2 * H) + (-3 * (ea >> 1)) % H]
+    del rows
+    window = np.ndarray((2 * H + 1, H), np.float32, src, 0, (4, 4))[np.where(bvals == 0, 2 * H, -eb % H)]
+    # float32 stays exact here: every entry has absolute value at most p
+    sums = hist @ window.T
+    sums += np.array([1, 2 + w, 2 - w], dtype=np.float32)[family][:, None] * (bvals != 0)
+    sums *= 2 * (eb & 1) - 1  # -s_b, as the log 2H of b = 0 is even
     disc = (4 * (avals * avals % p) * avals % p)[:, None] + 27 * (bvals * bvals % p)[None, :]
-    return traces, disc % p != 0
+    return sums.astype(np.int64), disc % p != 0
 
 
 _trace_grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # current prime only

@@ -223,11 +223,17 @@ def _prime_matches(field: GaloisFieldSpec, A: np.ndarray, B: np.ndarray, r: int,
     sides = np.concatenate([A, B])  # one power matrix per prime reduces both
     for pr in primes:
         reduced = _reduce(sides, pr)
-        av, ia, ca = np.unique(reduced[: len(A)], return_inverse=True, return_counts=True)
-        bv, ib, cb = np.unique(reduced[len(A) :], return_inverse=True, return_counts=True)
         if f == 1:
-            traces, nonsingular = trace_matrix(p, av, bv)
+            # both sides' distinct residues from one histogram, B shifted by p
+            reduced[len(A) :] += p
+            counts = np.bincount(reduced, minlength=2 * p)
+            present = np.flatnonzero(counts)
+            rank, n_a = np.searchsorted(present, reduced), np.searchsorted(present, p)
+            ia, ca, ib, cb = rank[: len(A)], counts[present[:n_a]], rank[len(A) :] - n_a, counts[present[n_a:]]
+            traces, nonsingular = trace_matrix(p, present[:n_a], present[n_a:] - p)
         else:
+            av, ia, ca = np.unique(reduced[: len(A)], return_inverse=True, return_counts=True)
+            bv, ib, cb = np.unique(reduced[len(A) :], return_inverse=True, return_counts=True)
             traces, nonsingular = field_trace_matrix(SmallField(p, pr.modulus), av, bv)
         yield (traces == r) & nonsingular, (ia, ca), (ib, cb)
 

@@ -4,6 +4,8 @@ Everything here is desk-scale: bounds up to a few 10^6, dense numpy arrays.
 """
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -40,10 +42,17 @@ def phi_sieve(bound: int) -> np.ndarray:
 
 
 def factorize_slow(n: int) -> dict[int, int]:
-    """Trial-division factorization, for the occasional value above any sieve."""
+    """Trial-division factorization, for the occasional value above any sieve;
+    past the divisor 2^10, a prime cofactor ends it and a square r^2 recurses on r."""
     out: dict[int, int] = {}
-    d = 2
+    d, checked = 2, 1
     while d * d <= n:
+        if d > 1 << 10 and n != checked:
+            if is_prime(n):
+                break
+            checked, r = n, isqrt(n)
+            if r * r == n:  # out holds the primes below d, r none of them
+                return out | {q: 2 * e for q, e in factorize_slow(r).items()}
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -60,15 +69,9 @@ def phi_from_factors(fac: dict[int, int]) -> int:
     return v
 
 
-def divisors_from_factors(fac: dict[int, int]) -> list[int]:
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit inputs."""
+    """Deterministic Miller-Rabin for 64-bit inputs: the bases 2, 3, 5 decide n
+    below 25,326,001 and 2, 3, 5, 7 below 3,215,031,751 (Jaeschke 1993)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -79,7 +82,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: 3 if n < 25_326_001 else 4 if n < 3_215_031_751 else 12]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

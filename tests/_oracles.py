@@ -303,12 +303,15 @@ def trace_counts_gather(p):
 
 
 def trace_table_gather(p):
-    """(p, p) table of -sum_x chi(x^3 + a*x + b) indexed [a, b], by one
-    O(p^3) gather with chi from Euler's criterion (garbage at singular (a, b))."""
-    chi = np.array([0] + [1 if pow(v, (p - 1) // 2, p) == 1 else -1 for v in range(1, p)])
+    """(p, p) table of -sum_x chi(x^3 + a*x + b) indexed [a, b], by an
+    O(p^3) gather, one (p, p) block per a, with chi from Euler's criterion
+    (garbage at singular (a, b))."""
+    chi = np.array([0] + [1 if pow(v, (p - 1) // 2, p) == 1 else -1 for v in range(1, p)], dtype=np.int8)
+    chi = np.concatenate([chi, chi])
     x = np.arange(p)
-    values = (x**3 + np.arange(p)[:, None, None] * x + np.arange(p)[None, :, None]) % p
-    return -chi[values].sum(axis=2)
+    cubic = (x**3 + np.arange(p)[:, None] * x) % p
+    b = np.arange(p)[:, None]
+    return np.stack([-chi[row + b].sum(axis=1, dtype=np.int64) for row in cubic])
 
 
 @functools.lru_cache(maxsize=4)

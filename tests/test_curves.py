@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from _oracles import (
     _euler_table,
@@ -60,11 +61,10 @@ def test_trace_matrix_matches_enumeration_oracle():
 
 def test_trace_matrix_matches_trace_mod_p():
     # unsorted values with duplicates and negatives; (-3, 2) and (0, 0) are
-    # singular at every p, and |A| = 2 * rows + 1 leaves the last block of
-    # rows partial (blocks are (p + 1)/2 wide)
+    # singular at every p
     rng = random.Random(31)
     for p in (17, 101, 1009, 2003, 2999):
-        rows = max(1, curves._BLOCK_CELLS // ((p + 1) // 2))
+        rows = max(1, 8192 // ((p + 1) // 2))
         A = [-3, 0, 5 - p, 10**6 + 3, 5] + [rng.randrange(-2 * p, 2 * p) for _ in range(2 * rows - 4)]
         B = [2, 0, -1, 2 + p, 7, 7] + [rng.randrange(-2 * p, 2 * p) for _ in range(3)]
         for a_values, b_values in ((A, B), (A[:1], B), (A, B[-1:])):
@@ -78,8 +78,9 @@ def test_trace_matrix_matches_trace_mod_p():
 
 
 def test_trace_matrix_matches_direct_character_sum():
-    # every cell at every prime below 100, p = 1 and p = 3 mod 4 alike
-    for p in sieve_primes(99).tolist()[2:]:
+    # every cell at every prime below 400: p mod 4, p mod 3 and the primitive
+    # root, which set the families and the window W0, all vary
+    for p in sieve_primes(399).tolist()[2:]:
         traces, nonsingular = trace_matrix(p, range(p), range(p))
         want = trace_table_gather(p)
         assert np.array_equal(traces[nonsingular], want[nonsingular]), p
@@ -99,6 +100,53 @@ def test_trace_matrix_window_edges_above_a_million():
         for j, b in enumerate(B):
             if nonsingular[i, j]:
                 assert traces[i, j] == trace_mod_p(a, b, p), (a, b)
+
+
+def test_discrete_log_of_the_least_primitive_root():
+    for p in sieve_primes(3000).tolist()[2:]:
+        power, log = curves._discrete_log(p)
+        assert power[1] == sympy.primitive_root(p), p
+        assert sorted(power.tolist()) == list(range(1, p)), p
+        assert np.array_equal(power[1:], power[:-1].astype(np.int64) * power[1] % p), p
+        assert log[0] == p - 1 and np.array_equal(log[power], np.arange(p - 1)), p
+
+
+@pytest.mark.parametrize("p", [10007, 10009, 10037, 10039])
+def test_trace_matrix_boxes_through_zero(p):
+    # p = 3, 1, 1, 3 mod 4, and 3 divides p - 1 at 10009 and 10039 only; each
+    # side holds a = 0 or b = 0 from a representative far from 0
+    for A, B in ((range(-5, 6), range(-5, 6)), (range(3 * p - 4, 3 * p + 5), range(-2 * p - 6, -2 * p + 3))):
+        traces, nonsingular = trace_matrix(p, A, B)
+        for i, a in enumerate(A):
+            for j, b in enumerate(B):
+                assert nonsingular[i, j] == (not is_singular(a, b, p))
+                if nonsingular[i, j]:
+                    assert traces[i, j] == trace_mod_p(a, b, p), (p, a, b)
+
+
+def test_trace_matrix_cells_below_two_to_the_24():
+    # the largest prime below 2^24, where p = 1 mod 4 (W0 is not 0) and 3
+    # divides p - 1; at a = -x0^2 the cubic has the three roots 0 and +-x0
+    p = 16777213
+    A, B = [0, -(4321**2), 7], [0, 1, p - 1]
+    traces, nonsingular = trace_matrix(p, A, B)
+    assert nonsingular.sum() == len(A) * len(B) - 1
+    for i, j in ((0, 1), (1, 0), (2, 2)):
+        assert traces[i, j] == trace_mod_p(A[i], B[j], p), (A[i], B[j])
+
+
+def test_trace_matrix_memory_at_a_million():
+    # a 31 x 31 box: its two (31, H) float32 gathers take 118 MiB, and the
+    # O(p) tables beside them about 12 MiB
+    p = 1000003
+    curves._char_tables.clear()
+    tracemalloc.start()
+    try:
+        trace_matrix(p, range(123442, 123473), range(-654336, -654305))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 132 * 2**20
 
 
 def test_trace_mod_p_rejects_p_from_two_to_the_24():
