@@ -1,16 +1,17 @@
 """Traces of Frobenius for elliptic curves over finite fields.
 
 Curves are short Weierstrass models y^2 = x^3 + a*x + b in characteristic
-at least 5.  Traces come from quadratic character sums, over F_p or over
-F_p[t]/(modulus) with the character read off the squares; trace tables over
-F_p work in discrete-log coordinates, where each histogram is one of three rows shifted.
+at least 5.  Traces come from quadratic character sums: one curve over F_p
+by a character table, and trace tables over F_p and F_p[t]/(modulus) alike
+by one kernel in discrete-log coordinates, where each histogram is one of
+three rows shifted and chi(g^k) = (-1)^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from math import gcd, isqrt
 
 import numpy as np
@@ -28,13 +29,15 @@ def quadratic_character(p: int) -> np.ndarray:
 
     Returns an int8 array t of length 2*p with t[v] = (v mod p | p), so sums
     of two reduced residues can be used as indices without another reduction.
+    The squares are marked _BLOCK_CELLS at a time.
     """
     tab = _char_tables.get(p)
     if tab is None:
         half = np.full(p, -1, dtype=np.int8)
         half[0] = 0
-        v = np.arange(1, (p + 1) // 2, dtype=np.int64)
-        half[(v * v) % p] = 1
+        for lo in range(1, (p + 1) // 2, _BLOCK_CELLS):
+            v = np.arange(lo, min(lo + _BLOCK_CELLS, (p + 1) // 2), dtype=np.int64)
+            half[v * v % p] = 1
         tab = np.concatenate([half, half])
         _char_tables.clear()
         _char_tables[p] = tab
@@ -48,9 +51,9 @@ def is_singular(a: int, b: int, p: int) -> bool:
 def trace_mod_p(a: int, b: int, p: int) -> int:
     """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p, p > 3 prime.
 
-    The point count is p + 1 - trace.  Raises ValueError on a singular model,
-    and for p >= 2^24, the bound of ReducedCurve, before any table of p
-    entries is built.
+    The point count is p + 1 - trace.  The character sum runs over blocks of
+    _BLOCK_CELLS values of x.  Raises ValueError on a singular model, and for
+    p >= 2^24, the bound of ReducedCurve, before any table of p entries is built.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("characteristic must be a prime greater than 3")
@@ -61,10 +64,12 @@ def trace_mod_p(a: int, b: int, p: int) -> int:
     if is_singular(a, b, p):
         raise ValueError(f"singular model a={a} b={b} over F_{p}")
     chi = quadratic_character(p)
-    x = np.arange(p, dtype=np.int64)
-    cubic = (x * x % p) * x % p
-    vals = (cubic + a * x) % p
-    return -int(chi[vals + b].sum())
+    total = 0
+    for lo in range(0, p, _BLOCK_CELLS):
+        x = np.arange(lo, min(lo + _BLOCK_CELLS, p), dtype=np.int64)
+        # (x^2 + a) * x is below 2p^2, and the doubled table takes v + b < 2p
+        total += int(chi[(x * x % p + a) * x % p + b].sum())
+    return -total
 
 
 def _discrete_log(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,71 +86,104 @@ def _discrete_log(p: int) -> tuple[np.ndarray, np.ndarray]:
     return power, log
 
 
+# entries per block of the temporaries that grow with the field: x values in
+# trace_mod_p (8 MB of int64), cells of each side's gather in _trace_kernel
+# (4 MB of float32), and powers in SmallField (8 MB of int64 per digit)
+_BLOCK_CELLS = 1 << 20
+
+
+def _trace_kernel(p: int, f: int, power: np.ndarray, log: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray):
+    """Traces over F_q, q = p^f, for every pair of element indices a_idx x b_idx,
+    returned as trace_matrix returns them.  power[k] = g^k, k < q - 1, and
+    log[g^k] = k, log[0] = q - 1, are the int32 tables of a primitive element g.
+
+    F_q* is cyclic and chi is multiplicative, so chi(g^k) = (-1)^k and, with
+    H = (q - 1)/2, -1 = g^H.  trace(a, b) = -sum_v N_a(v) chi(v + b), N_a(v) =
+    #{x : x^3 + a*x = v}, and N_a(-v) = N_a(v), so
+      trace(a, b) = -[N_a(0) chi(b) + sum_{k<H} N_a(g^k) (chi(b + g^k) + chi(b - g^k))].
+    x = lambda*y gives N_a(v) = N_{a/lambda^2}(v/lambda^3), so for a = g^e,
+    t = floor(e/2), k -> N_a(g^k) is B_c[k - 3t], B_c[k] = N_c(g^k), with c = 1
+    for even e, c = g for odd e, and N_a(0) = N_c(0) = 2 + chi(-c).  The row
+    B_0 of a = 0 is 3 at k = 0 mod 3 and 0 elsewhere if 3 | H, else 1 (x^3
+    is then a bijection), and N_0(0) = 1.  For b = g^f, chi(b + g^k) +
+    chi(b - g^k) = chi(b) S[k - f], S[j] = chi(1 + g^j) + chi(1 - g^j), and for
+    b = 0 the window is W0[k] = (1 + chi(-1)) (-1)^k.  With s_b = chi(b) (1 at 0),
+      trace(a, b) = -s_b (N_a(0) [b != 0] + (N W^T)[a, b])
+    for N the gather of shifted rows of (B_0, B_1, B_g) and W that of (S, S, W0).
+    S and B_c come from the Zech logs Z[k] = log(1 + g^k); 1 + g^k adds 1 to
+    the constant digit mod p, the one addition of elements made here.  S[j] =
+    (-1)^Z[j] + (-1)^Z[j + H], but chi(0) = 0 at 1 + g^H = 0.  For c = g^d, the
+    x = g^(i + d), i < H, are one of each pair +-x (which give v and -v, whose
+    logs agree mod H), and x^3 + c*x = x*c*(1 + x^2/c) has log i + 2d + Z[2i + d],
+    so B_c is the histogram of those logs mod H, less the x with x^2 = -c.
+    The gathers are built _BLOCK_CELLS per side at a time.  The float32
+    products are exact for q < 2^24: N is in [0, 3], W in [-2, 2], and every
+    partial sum is an integer of size at most 2 sum_k N_a(g^k) <= q.
+    """
+    H = len(power) // 2
+    both = np.concatenate([a_idx, b_idx])
+    e = log[both]
+    ea, eb = e[: len(a_idx)], e[len(a_idx) :]
+    # 4a^3 + 27b^2 = 0 exactly when 4a^3 and -27b^2 are the same element
+    scaled = power[np.concatenate([3 * ea + log[4], 2 * eb + log[-27 % p]]) % (2 * H)]
+    scaled[both == 0] = 0
+    nonsingular = scaled[: len(a_idx), None] != scaled[None, len(a_idx) :]
+    # the Zech logs: a constant digit p after the + 1 wraps to 0, and at f = 1
+    # that digit is g^H + 1 alone
+    zech = power + 1
+    zech[H if f == 1 else zech % p == 0] -= p
+    zech = log[zech]
+    # the rows S, S, W0; chi(-1) = (-1)^H, and W0 is 0 unless H is even
+    w = 1 - 2 * (H & 1)
+    src = np.empty(3 * H, dtype=np.float32)
+    np.multiply((zech[:H] & 1) + (zech[H:] & 1), -2, out=src[:H], casting="unsafe")
+    src[:H] += 2
+    src[0] -= 1
+    src[H : 2 * H] = src[:H]
+    src[2 * H :: 2], src[2 * H + 1 :: 2] = 1 + w, -1 - w
+    # the rows B_0, B_1, B_g, each twice over
+    rows = np.zeros((3, 2 * H), dtype=np.float32)
+    step = 1 if H % 3 else 3
+    rows[0, ::step] = step
+    for d in (0, 1):
+        rows[1 + d, :H] = np.bincount((np.arange(2 * d, H + 2 * d) + zech[d::2]) % H, minlength=H)
+    # Z[H] = log 0 = 2H lies in row d = H mod 2, at i = H // 2
+    rows[1 + (H & 1), (H // 2 + 2 * (H & 1)) % H] -= 1
+    rows[1:, H:] = rows[1:, :H]
+    del zech
+    family = np.where(a_idx == 0, 0, 1 + (ea & 1))
+    hist_rows = family * (2 * H) + (-3 * (ea >> 1)) % H
+    window_rows = np.where(b_idx == 0, 2 * H, -eb % H)
+    # column block [lo, lo + width) of the rows of each table, row i of which
+    # is table[i + lo : i + lo + width]
+    width = max(1, _BLOCK_CELLS // max(len(a_idx), len(b_idx), 1))
+    sums = np.zeros((len(a_idx), len(b_idx)), dtype=np.float32)
+    for lo in range(0, H, width):
+        cols = min(width, H - lo)
+        hist = np.ndarray((5 * H + 1, cols), np.float32, rows, 4 * lo, (4, 4))[hist_rows]
+        window = np.ndarray((2 * H + 1, cols), np.float32, src, 4 * lo, (4, 4))[window_rows]
+        sums += hist @ window.T
+    sums += np.array([1, 2 + w, 2 - w], dtype=np.float32)[family][:, None] * (b_idx != 0)
+    sums *= 2 * (eb & 1) - 1  # -s_b, as the log 2H of b = 0 is even
+    return sums.astype(np.int64), nonsingular
+
+
 def trace_matrix(p: int, a_values, b_values):
     """Traces for every pair from a_values x b_values over F_p.
 
     Returns (traces, nonsingular) where traces[i, j] is the trace of
     y^2 = x^3 + a_values[i]*x + b_values[j] and nonsingular[i, j] marks the
     pairs where that model is an elliptic curve (traces are garbage at
-    singular pairs).
-
-    trace(a, b) = -sum_v N_a(v) chi(v + b), N_a(v) = #{x : x^3 + a*x = v}, is
-    read in discrete-log coordinates v = g^k, g the least primitive root and
-    H = (p - 1)/2.  N_a(-v) = N_a(v) and -1 = g^H, so
-      trace(a, b) = -[N_a(0) chi(b) + sum_{k<H} N_a(g^k) (chi(b + g^k) + chi(b - g^k))].
-    x = lambda*y gives N_a(v) = N_{a/lambda^2}(v/lambda^3), so for a = g^e,
-    t = floor(e/2), k -> N_a(g^k) is B_c[k - 3t], B_c[k] = N_c(g^k), with c = 1
-    for even e, c = g for odd e, and N_a(0) = N_c(0) = 2 + chi(-c).  The row
-    B_0 of a = 0 is 3 at k = 0 mod 3 and 0 elsewhere if 3 | p - 1, else 1 (x^3
-    is then a bijection), and N_0(0) = 1.  For b = g^f, chi(b + g^k) +
-    chi(b - g^k) = chi(b) S[k - f], S[j] = chi(1 + g^j) + chi(1 - g^j), and for
-    b = 0 the window is W0[k] = (1 + chi(-1)) (-1)^k.  With s_b = chi(b) (1 at 0),
-      trace(a, b) = -s_b (N_a(0) [b != 0] + (N W^T)[a, b])
-    for N the gather of shifted rows of (B_0, B_1, B_g) and W that of (S, S, W0).
-    The O(p) work per prime (g, g^k, the logs, two histograms) is the same for
-    any |A|.  The float32 product is exact for p < 2^24: N is in [0, 3], W in
-    [-2, 2], and every partial sum is an integer of size at most 2 sum_k N_a(g^k) <= p.
+    singular pairs).  The traces come from _trace_kernel at f = 1, with the
+    tables of _discrete_log; the float32 sums there are exact for p < 2^24.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("characteristic must be a prime greater than 3")
     if p >= 2**24:
         raise OverflowError("float32 character sums are exact only for p < 2^24")
-    H = (p - 1) // 2
     avals = np.asarray(a_values, dtype=np.int64) % p
     bvals = np.asarray(b_values, dtype=np.int64) % p
-    power, log = _discrete_log(p)
-    g = int(power[1])
-    e = log[np.concatenate([avals, bvals])]
-    ea, eb = e[: len(avals)], e[len(avals) :]
-    # the rows S, S, W0; W0 is 0 unless p = 1 mod 4, and then H is even
-    chi = quadratic_character(p)
-    w = int(chi[p - 1])
-    src = np.empty(3 * H, dtype=np.float32)
-    np.add(chi[power[:H] + 1], chi[power[H:] + 1], out=src[:H], dtype=np.float32)
-    src[H : 2 * H] = src[:H]
-    src[2 * H :: 2], src[2 * H + 1 :: 2] = 1 + w, -1 - w
-    # the rows B_0, B_1, B_g, each twice over; B_1 and B_g count x in 1..H,
-    # as x and -x give v and -v, whose logs agree mod H
-    rows = np.zeros((3, 2 * H), dtype=np.float32)
-    rows[0] = 1 if H % 3 else 3 * (np.arange(2 * H) % 3 == 0)
-    x = np.arange(1, H + 1, dtype=np.int64)
-    cube = x * x % p * x
-    for i, c in ((1, 1), (2, g)):
-        counts = np.bincount(log[(cube + c * x) % p], minlength=p)
-        np.add(counts[:H], counts[H : 2 * H], out=rows[i, :H], casting="unsafe")
-    rows[1:, H:] = rows[1:, :H]
-    del power, log, x, cube, counts
-    # row i of each view is table[i : i + H]
-    family = np.where(avals == 0, 0, 1 + (ea & 1))
-    hist = np.ndarray((5 * H + 1, H), np.float32, rows, 0, (4, 4))[family * (2 * H) + (-3 * (ea >> 1)) % H]
-    del rows
-    window = np.ndarray((2 * H + 1, H), np.float32, src, 0, (4, 4))[np.where(bvals == 0, 2 * H, -eb % H)]
-    # float32 stays exact here: every entry has absolute value at most p
-    sums = hist @ window.T
-    sums += np.array([1, 2 + w, 2 - w], dtype=np.float32)[family][:, None] * (bvals != 0)
-    sums *= 2 * (eb & 1) - 1  # -s_b, as the log 2H of b = 0 is even
-    disc = (4 * (avals * avals % p) * avals % p)[:, None] + 27 * (bvals * bvals % p)[None, :]
-    return sums.astype(np.int64), disc % p != 0
+    return _trace_kernel(p, 1, *_discrete_log(p), avals, bvals)
 
 
 _trace_grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # current prime only
@@ -280,22 +318,16 @@ def isomorphism_orbit(a: int, b: int, p: int) -> list[tuple[int, int]]:
     return [divmod(code, p) for code in _orbit_codes(a, b, p).tolist()]
 
 
-# rows per block in SmallField.mul, whose int64 temporaries are rows long
-_MUL_ROWS = 1 << 14
-
-
 class SmallField:
-    """F_{p^f} = F_p[t]/(modulus) for a monic irreducible modulus.
+    """F_q = F_p[t]/(modulus), q = p^f < 2^24, for a monic irreducible modulus.
 
-    Elements are encoded as integers in [0, p^f) whose base-p digits are the
-    coefficients of the residue polynomial, constant digit first; digits[i]
-    is the digit vector of element i.  Addition is digit-wise mod p, and mul
-    multiplies rows of digit vectors as polynomials, then folds the powers
-    t^m, m < 2f - 1, back in by their digits mod the modulus; in int64 that
-    is exact while f^2 * p^3 < 2^63, which is asserted before any table of
-    size p^f is built.  cubes[i] is the digit vector of x^3 for the element x
-    of index i, and chi[i] its quadratic character, read off the squares x^2:
-    in a field of odd order the nonzero squares are the quadratic residues.
+    Elements are encoded as integers in [0, q) whose base-p digits are the
+    coefficients of the residue polynomial, constant digit first.  power[k] =
+    g^k, k < q - 1, and log[g^k] = k, log[0] = q - 1, are the int32 tables of
+    the first primitive element g in index order from 2 (f = 1) or t (f > 1),
+    tested by one gfpoly.powmod per prime factor of q - 1.  The powers double:
+    the digits of g^(m + k), k < m, are those of g^k times the f x f matrix of
+    x -> g^m * x, which squares to that of g^(2m).  q is checked first.
     """
 
     def __init__(self, p: int, modulus):
@@ -305,28 +337,31 @@ class SmallField:
         f = gfpoly.degree(poly)
         if f < 1:
             raise ValueError("modulus must have positive degree")
-        if f * f * p**3 >= 2**63:
-            raise OverflowError("digit products need f^2 * p^3 < 2^63")
+        if p**f >= 2**24:
+            raise OverflowError("field tables need q = p^f < 2^24")
         # [(f, poly)] exactly when no factor of degree <= f/2 divides poly,
         # squarefree or not
         if gfpoly.distinct_degree_factor(poly, p) != [(f, poly)]:
             raise ValueError(f"modulus {poly} is reducible over F_{p}")
-        self.p = p
-        self.f = f
-        self.q = p**f
-        self.modulus = poly
-        self._pvec = p ** np.arange(f, dtype=np.int64)
-        # digit k of t^m mod the modulus, for the 2f - 1 powers a product reaches
-        self._powers = gfpoly.power_digits(poly, 2 * f - 1, p)
-        self.digits = (np.arange(self.q, dtype=np.int64)[:, None] // self._pvec) % p
-        squares = self.mul(self.digits, self.digits)
-        self.cubes = self.mul(squares, self.digits)
-        self.chi = np.full(self.q, -1, dtype=np.int8)
-        self.chi[self.index(squares)] = 1
-        self.chi[0] = 0
-        # chi on the grid of digit vectors, doubled along each axis as in
-        # quadratic_character, so that v -> chi(v + b) is one slice
-        self._chi_grid = np.tile(self.chi.reshape((p,) * f), (2,) * f)
+        self.p, self.f, self.q, self.modulus = p, f, p**f, poly
+        q = self.q
+        pvec = p ** np.arange(f, dtype=np.int64)
+        cofactors = [(q - 1) // r for r in factorize_slow(q - 1)]
+        candidates = (gfpoly.trim((i // pvec % p).tolist()) for i in count(2 if f == 1 else p))
+        g = next(c for c in candidates if all(gfpoly.powmod(c, k, poly, p) != (1,) for k in cofactors))
+        # row i of the matrix of x -> g*x: the digits of t^i * g
+        powers = np.array(gfpoly.power_digits(poly, 2 * f - 1, p), dtype=np.int64)
+        step = np.array([sum(c * powers[i + j] for j, c in enumerate(g)) for i in range(f)]) % p
+        self.power = np.ones(q - 1, dtype=np.int32)
+        m = 1
+        while m < q - 1:
+            for lo in range(0, min(m, q - 1 - m), _BLOCK_CELLS):
+                block = self.power[lo : min(lo + _BLOCK_CELLS, m, q - 1 - m)]
+                self.power[m + lo : m + lo + len(block)] = (block[:, None] // pvec % p) @ step % p @ pvec
+            step = step @ step % p
+            m *= 2
+        self.log = np.empty(q, dtype=np.int32)
+        self.log[self.power], self.log[0] = np.arange(q - 1, dtype=np.int32), q - 1
 
     def element_index(self, value) -> int:
         """Encode an element given as an int (constant) or coefficient list."""
@@ -334,27 +369,6 @@ class SmallField:
             value = (value,)
         coeffs = gfpoly.mod(gfpoly.normalize([int(c) for c in value], self.p), self.modulus, self.p)
         return sum(c * self.p**k for k, c in enumerate(coeffs))
-
-    def index(self, digits: np.ndarray) -> np.ndarray:
-        """Element indices of digit vectors with entries in [0, p)."""
-        return digits @ self._pvec
-
-    def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Digit vectors of the products of the rows of u and v, which hold
-        digits in [0, p) and broadcast against each other row-wise."""
-        u, v = np.broadcast_arrays(u, v)
-        f, p = self.f, self.p
-        out = np.empty(u.shape, dtype=np.int64)
-        for lo in range(0, len(u), _MUL_ROWS):
-            ub, vb = u[lo : lo + _MUL_ROWS].T, v[lo : lo + _MUL_ROWS].T
-            # c[m]: the coefficient of t^m in the product polynomial
-            c = [sum(ub[i] * vb[m - i] for i in range(max(0, m - f + 1), min(m, f - 1) + 1))
-                 for m in range(2 * f - 1)]
-            for k in range(f):
-                # f^2 terms, each below p^2 * p
-                acc = sum(c[m] * self._powers[m][k] for m in range(2 * f - 1) if self._powers[m][k])
-                out[lo : lo + _MUL_ROWS, k] = acc - acc // p * p
-        return out
 
 
 @dataclass(frozen=True)
@@ -424,10 +438,6 @@ def trace_mod_q(curve: ReducedCurve) -> int:
     return int(traces[0, 0])
 
 
-# int64 cells per block of histogram rows in field_trace_matrix: 2 MB
-_FIELD_BLOCK_CELLS = 1 << 18
-
-
 def field_trace_matrix(field: SmallField, a_indices, b_indices):
     """Traces over F_q for every pair of element indices, the extension-field
     form of trace_matrix.
@@ -435,36 +445,11 @@ def field_trace_matrix(field: SmallField, a_indices, b_indices):
     Returns (traces, nonsingular) where traces[i, j] is the trace of
     y^2 = x^3 + a*x + b for the elements a = a_indices[i], b = b_indices[j],
     and nonsingular[i, j] marks the pairs where 4a^3 + 27b^2 != 0 (traces are
-    garbage at singular pairs).
-
-    As in trace_matrix, each trace is -sum_v N_a(v) chi(v + b), with N_a(v)
-    = #{x in F_q : x^3 + a*x = v}.  The histograms N_a are built for blocks
-    of about _FIELD_BLOCK_CELLS / q values of a, and each block is multiplied
-    by the window chi(v + b) of one b at a time.  Cost is |A| * q * f^2 for
-    the histograms, |B| * q per block of a for the windows, and |A| * |B| * q
-    int64 multiply-adds.  All of it is exact: the field's products need
-    f^2 * p^3 < 2^63, and each character sum is at most q in absolute value.
+    garbage at singular pairs).  The traces come from _trace_kernel with the
+    field's power and log tables.
     """
     if field.p <= 3:
         raise ValueError("characteristic must exceed 3")
-    p, q, f, digits = field.p, field.q, field.f, field.digits
-    ad = digits[np.asarray(a_indices, dtype=np.int64)]
-    bd = digits[np.asarray(b_indices, dtype=np.int64)]
-    traces = np.empty((len(ad), len(bd)), dtype=np.int64)
-    # a*x is linear in the digits of x: row j of ax[i] is a_i * t^j
-    ax = field.mul(np.repeat(ad, f, axis=0), np.tile(np.eye(f, dtype=np.int64), (len(ad), 1))).reshape(-1, f, f)
-    rows = max(1, min(len(ad), _FIELD_BLOCK_CELLS // q))
-    buf = np.empty((rows, q), dtype=np.int64)
-    for lo in range(0, len(ad), rows):
-        hist = buf[: len(ad) - lo]
-        for k, a_times in enumerate(ax[lo : lo + rows]):
-            cubic = (field.cubes + digits @ a_times) % p
-            hist[k] = np.bincount(field.index(cubic), minlength=q)
-        for j, b in enumerate(bd):
-            window = field._chi_grid[tuple(slice(d, d + p) for d in b[::-1])]
-            traces[lo : lo + rows, j] = -(hist @ window.astype(np.int64).reshape(q))
-    # 4 and 27 are prime-field scalars, so they scale the digit vectors
-    cube = field.mul(field.mul(ad, ad), ad)
-    square = field.mul(bd, bd)
-    disc = (4 * cube[:, None, :] + 27 * square[None, :, :]) % p
-    return traces, disc.any(axis=2)
+    a_idx = np.asarray(a_indices, dtype=np.int64)
+    b_idx = np.asarray(b_indices, dtype=np.int64)
+    return _trace_kernel(field.p, field.f, field.power, field.log, a_idx, b_idx)

@@ -5,7 +5,9 @@ reduce-and-match pipeline.  Each side of a box is a matrix with one row of
 power-basis coordinates per model (a single curve is a one-row side).  At
 each prime of degree f the rows are reduced to element indices of the residue
 field F_p[t]/(modulus), and the distinct residues of the two sides are matched
-by one trace table: trace_matrix over F_p, or field_trace_matrix over F_{p^f}.
+by one trace table: trace_matrix over F_p, or field_trace_matrix over F_{p^f},
+which share one kernel; residue fields of 2^24 elements or more are refused
+before the first prime.
 The multiplicities of the distinct residues turn the table into box totals or
 per-model counts.  The exact reduction counts at fixed primes match the same
 distinct residues against isomorphism orbits.
@@ -180,12 +182,17 @@ def _map_primes(worker, items: list, workers: int, **config) -> list:
 def _rational_primes(field: GaloisFieldSpec, f: int, x: int, r: int) -> list[int]:
     """The rational primes whose degree-f primes the counts visit, ascending:
     the admissible split primes up to x for f = 1, else the p with p^f <= x
-    coprime to 6*disc."""
+    coprime to 6*disc.  Raises ValueError, before any prime is visited, when
+    the largest residue field p^f reaches 2^24, the bound of the trace kernel."""
     if f < 1:
         raise ValueError("degree f must be positive")
     if f == 1:
-        return admissible_primes(field, x, r)
-    return [p for p in sieve_primes(isqrt(x)).tolist() if p**f <= x and p > 3 and field.disc % p != 0]
+        ps = admissible_primes(field, x, r)
+    else:
+        ps = [p for p in sieve_primes(isqrt(x)).tolist() if p**f <= x and p > 3 and field.disc % p != 0]
+    if ps and ps[-1] ** f >= 2**24:
+        raise ValueError(f"the residue fields reach {ps[-1]}^{f} elements; p^f must be below 2^24")
+    return ps
 
 
 def _model_coordinate_matrix(centers, radii) -> np.ndarray:
@@ -317,7 +324,7 @@ def box_variance(field, box: CurveBox, r: int, x, C: float, workers: int = 1) ->
     _check_box(field, box)
     r, x = int(r), int(x)
     A, B = _box_sides(box)
-    parts = _map_primes(_variance_worker, admissible_primes(field, x, r), workers, field=field, A=A, B=B, r=r)
+    parts = _map_primes(_variance_worker, _rational_primes(field, 1, x, r), workers, field=field, A=A, B=B, r=r)
     dev = sum(parts).astype(np.float64) - C * pi_half(x)
     return float(np.mean(dev * dev))
 

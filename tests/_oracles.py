@@ -333,7 +333,7 @@ def extension_trace_euler(a, b, p, modulus):
     a, b and the monic irreducible modulus are coefficient sequences, lowest
     degree first.  Each x in the field adds -chi(x^3 + a*x + b), with chi(v)
     = v^((q-1)/2) by Euler's criterion; only polynomial arithmetic mod p is
-    used, none of SmallField's digit arrays or its table of squares.
+    used, none of SmallField's power and log tables.
     """
     modulus = gfpoly.normalize(modulus, p)
     a = gfpoly.mod(gfpoly.normalize(a, p), modulus, p)

@@ -136,8 +136,8 @@ def test_trace_matrix_cells_below_two_to_the_24():
 
 
 def test_trace_matrix_memory_at_a_million():
-    # a 31 x 31 box: its two (31, H) float32 gathers take 118 MiB, and the
-    # O(p) tables beside them about 12 MiB
+    # a 31 x 31 box: each side's gather is built 2^20 cells (4 MiB) at a time,
+    # beside O(p) int32 and float32 tables of 4 to 12 MiB each
     p = 1000003
     curves._char_tables.clear()
     tracemalloc.start()
@@ -146,7 +146,23 @@ def test_trace_matrix_memory_at_a_million():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 132 * 2**20
+    assert peak < 64 * 2**20
+
+
+def test_trace_mod_p_memory_below_two_to_the_24():
+    # the largest prime below 2^24: the doubled character table is 32 MiB, and
+    # the sum over x runs in blocks of 2^20 values; 8075 is the trace that
+    # trace_matrix gives there too
+    p = 16777213
+    curves._char_tables.clear()
+    tracemalloc.start()
+    try:
+        assert trace_mod_p(5, 7, p) == 8075
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        curves._char_tables.clear()
+    assert peak < 64 * 2**20
 
 
 def test_trace_mod_p_rejects_p_from_two_to_the_24():
@@ -346,23 +362,29 @@ def test_frobenius_trace_power_recurrence():
 _EXTENSION_FIELDS = [(7, (1, 0, 1)), (11, (1, 0, 1)), (5, (1, 0, 1, 1)), (5, (1, 0, 1, 1, 1))]
 
 
+def _field_digits(index, p, f):
+    return gfpoly.trim((index // p**k) % p for k in range(f))
+
+
 @pytest.mark.parametrize("p, modulus", _EXTENSION_FIELDS)
-def test_small_field_mul_and_character(p, modulus):
+def test_small_field_tables(p, modulus):
     F = curves.SmallField(p, modulus)
+    q = F.q
     polys = [gfpoly.trim(c) for c in itertools.product(range(p), repeat=F.f)]
-    idx = np.array([F.element_index(c) for c in polys], dtype=np.int64)
-    assert sorted(idx.tolist()) == list(range(F.q))
-    n = len(polys)
-    if n * n <= 20000:
-        i, j = np.divmod(np.arange(n * n), n)
-    else:
-        rng = np.random.default_rng(37)
-        i, j = rng.integers(0, n, 20000), rng.integers(0, n, 20000)
-    got = F.mul(F.digits[idx[i]], F.digits[idx[j]])
-    for row, a, b in zip(got.tolist(), i.tolist(), j.tolist()):
-        assert gfpoly.trim(row) == gfpoly.mulmod(polys[a], polys[b], modulus, p)
+    assert sorted(F.element_index(c) for c in polys) == list(range(q))
+    # g is primitive, and the first primitive element from t in index order
+    cofactors = [(q - 1) // r for r in sympy.primefactors(q - 1)]
+    primitive = [all(gfpoly.powmod(_field_digits(i, p, F.f), k, modulus, p) != (1,) for k in cofactors) for i in range(p, F.power[1] + 1)]
+    assert primitive[-1] and not any(primitive[:-1])
+    g = _field_digits(int(F.power[1]), p, F.f)
+    rng = random.Random(q)
+    for k in [0, 1, 2, (q - 1) // 2, q - 2] + [rng.randrange(q - 1) for _ in range(200)]:
+        assert _field_digits(int(F.power[k]), p, F.f) == gfpoly.powmod(g, k, modulus, p), k
+    assert F.log.dtype == F.power.dtype == np.int32
+    assert np.array_equal(F.log[F.power], np.arange(q - 1)) and F.log[0] == q - 1
+    # chi(g^k) = (-1)^k against Euler's criterion
     _, chi = _euler_table(p, modulus)
-    assert F.chi[idx].tolist() == [chi.get(x, 0) for x in polys]
+    assert all(chi[_field_digits(int(F.power[k]), p, F.f)] == (-1) ** k for k in range(q - 1))
 
 
 def test_reduced_curve_field_size_is_below_two_to_the_24():
@@ -387,18 +409,28 @@ def test_small_field_accepts_exactly_the_irreducible_moduli():
             assert accepted == sum(mu[d // k] * p**k for k in range(1, d + 1) if d % k == 0) // d, (p, d)
 
 
-def test_small_field_rejects_p_beyond_int64_products():
-    # the smallest primes with f^2 * p^3 >= 2^63 at f = 1 and f = 2; the guard
-    # comes before any array of size q
+def test_small_field_rejects_q_from_two_to_the_24():
+    # p^f >= 2^24 at f = 1, 2 and 11; the guard comes before any table of size q
     tracemalloc.start()
     try:
-        for p, modulus in ((2097169, (0, 1)), (1321139, (1, 0, 1))):
-            with pytest.raises(OverflowError):
+        for p, modulus in ((16777259, (0, 1)), (1321139, (1, 0, 1)), (4099, (2, 0, 1)), (5, (2,) + (0,) * 10 + (1,))):
+            with pytest.raises(OverflowError, match="2\\^24"):
                 curves.SmallField(p, modulus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_field_trace_matrix_over_prime_fields_is_trace_matrix():
+    # F_p as F_p[t]/(t + c): the element index of a residue is the residue
+    for p, c in ((5, 0), (7, 3), (13, 12), (29, 1), (31, 30), (53, 7), (59, 58)):
+        F = curves.SmallField(p, (c, 1))
+        assert F.f == 1
+        grid, nonsingular = field_trace_matrix(F, range(p), range(p))
+        want, want_nonsingular = trace_matrix(p, range(p), range(p))
+        assert np.array_equal(nonsingular, want_nonsingular), p
+        assert np.array_equal(grid[nonsingular], want[nonsingular]), p
 
 
 def _check_field_traces(F, A, B, want):
@@ -424,8 +456,8 @@ def test_field_trace_matrix_every_pair(p, modulus, monkeypatch):
     random.Random(p).shuffle(order)
     A = order + [0, order[0]]
     B = order[::-1] + [order[5], 0]
-    # 7 rows per histogram block, the last one partial
-    monkeypatch.setattr(curves, "_FIELD_BLOCK_CELLS", 7 * F.q)
+    # 7 columns per block of each side's gather, the last block partial
+    monkeypatch.setattr(curves, "_BLOCK_CELLS", 7 * len(A))
     _check_field_traces(F, A, B, lambda a, b: table[where[a]][where[b]])
 
 
@@ -438,9 +470,10 @@ def test_field_trace_matrix_sampled(p, modulus, monkeypatch):
     A += [0, A[2]]
     B = [rng.randrange(F.q) for _ in range(4)]
     B += [B[0], 0]
-    monkeypatch.setattr(curves, "_FIELD_BLOCK_CELLS", 4 * F.q)
-    digits = F.digits.tolist()
-    _check_field_traces(F, A, B, functools.cache(lambda a, b: extension_trace_euler(digits[a], digits[b], p, modulus)))
+    # 4 columns per block of each side's gather, the last block partial
+    monkeypatch.setattr(curves, "_BLOCK_CELLS", 4 * len(A))
+    digits = functools.partial(_field_digits, p=p, f=F.f)
+    _check_field_traces(F, A, B, functools.cache(lambda a, b: extension_trace_euler(digits(a), digits(b), p, modulus)))
 
 
 def test_curve_model_validation():

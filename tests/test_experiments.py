@@ -248,6 +248,27 @@ def test_box_average_rejects_nonpositive_degree():
             box_average(_Q(), CurveBox((0,), (2,), (0,), (2,)), 1, f, 100)
 
 
+def test_oversized_residue_fields_rejected_before_any_prime(monkeypatch):
+    # Q up to just past the prime 16777259 > 2^24, and F_{p^2} over Q_i with
+    # p up to 5791 > 2^12; no prime is visited before the ValueError
+    def visit(*args):
+        raise AssertionError("a prime was visited")
+
+    monkeypatch.setattr(experiments, "_prime_matches", visit)
+    Q, Q_i = _Q(), parse_field("Q_i")
+    box = CurveBox((0,), (2,), (0,), (2,))
+    runs = [
+        lambda: box_average(Q, box, 1, 1, 2**24 + 50),
+        lambda: box_variance(Q, box, 1, 2**24 + 50, 0.5),
+        lambda: pi_E_rf(Q, CurveModel((1,), (1,)), 1, 1, 2**24 + 50),
+        lambda: box_average(Q_i, CurveBox((1, 0), (1, 1), (3, 0), (1, 1)), 0, 2, 2**25),
+        lambda: pi_E_rf(Q_i, CurveModel((1, 2), (3, 1)), 0, 2, 2**25),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="2\\^24"):
+            run()
+
+
 def test_box_variance_all_zero_counts():
     Q = _Q()
     # no prime clears the 4p > 20 floor below x = 6, so every model counts
