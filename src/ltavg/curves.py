@@ -4,7 +4,8 @@ Curves are short Weierstrass models y^2 = x^3 + a*x + b in characteristic
 at least 5.  Traces come from quadratic character sums: one curve over F_p
 by a character table, and trace tables over F_p and F_p[t]/(modulus) alike
 by one kernel in discrete-log coordinates, where each histogram is one of
-three rows shifted and chi(g^k) = (-1)^k.
+three rows shifted and chi(g^k) = (-1)^k; the number of models of each trace
+over F_q comes from the correlations of the same rows.
 """
 
 from __future__ import annotations
@@ -92,6 +93,36 @@ def _discrete_log(p: int) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK_CELLS = 1 << 20
 
 
+def _log_rows(p: int, f: int, power: np.ndarray, log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 rows of _trace_kernel over F_q, q = p^f, H = (q - 1)/2, from
+    its tables: S, S, W0 end to end in one array of length 3H, and B_0, B_1,
+    B_g, each twice over, as the rows of a (3, 2H) array."""
+    H = len(power) // 2
+    # the Zech logs: a constant digit p after the + 1 wraps to 0, and at f = 1
+    # that digit is g^H + 1 alone
+    zech = power + 1
+    zech[H if f == 1 else zech % p == 0] -= p
+    zech = log[zech]
+    # the rows S, S, W0; chi(-1) = (-1)^H, and W0 is 0 unless H is even
+    w = 1 - 2 * (H & 1)
+    src = np.empty(3 * H, dtype=np.float32)
+    np.multiply((zech[:H] & 1) + (zech[H:] & 1), -2, out=src[:H], casting="unsafe")
+    src[:H] += 2
+    src[0] -= 1
+    src[H : 2 * H] = src[:H]
+    src[2 * H :: 2], src[2 * H + 1 :: 2] = 1 + w, -1 - w
+    # the rows B_0, B_1, B_g, each twice over
+    rows = np.zeros((3, 2 * H), dtype=np.float32)
+    step = 1 if H % 3 else 3
+    rows[0, ::step] = step
+    for d in (0, 1):
+        rows[1 + d, :H] = np.bincount((np.arange(2 * d, H + 2 * d) + zech[d::2]) % H, minlength=H)
+    # Z[H] = log 0 = 2H lies in row d = H mod 2, at i = H // 2
+    rows[1 + (H & 1), (H // 2 + 2 * (H & 1)) % H] -= 1
+    rows[1:, H:] = rows[1:, :H]
+    return src, rows
+
+
 def _trace_kernel(p: int, f: int, power: np.ndarray, log: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray):
     """Traces over F_q, q = p^f, for every pair of element indices a_idx x b_idx,
     returned as trace_matrix returns them.  power[k] = g^k, k < q - 1, and
@@ -128,29 +159,8 @@ def _trace_kernel(p: int, f: int, power: np.ndarray, log: np.ndarray, a_idx: np.
     scaled = power[np.concatenate([3 * ea + log[4], 2 * eb + log[-27 % p]]) % (2 * H)]
     scaled[both == 0] = 0
     nonsingular = scaled[: len(a_idx), None] != scaled[None, len(a_idx) :]
-    # the Zech logs: a constant digit p after the + 1 wraps to 0, and at f = 1
-    # that digit is g^H + 1 alone
-    zech = power + 1
-    zech[H if f == 1 else zech % p == 0] -= p
-    zech = log[zech]
-    # the rows S, S, W0; chi(-1) = (-1)^H, and W0 is 0 unless H is even
     w = 1 - 2 * (H & 1)
-    src = np.empty(3 * H, dtype=np.float32)
-    np.multiply((zech[:H] & 1) + (zech[H:] & 1), -2, out=src[:H], casting="unsafe")
-    src[:H] += 2
-    src[0] -= 1
-    src[H : 2 * H] = src[:H]
-    src[2 * H :: 2], src[2 * H + 1 :: 2] = 1 + w, -1 - w
-    # the rows B_0, B_1, B_g, each twice over
-    rows = np.zeros((3, 2 * H), dtype=np.float32)
-    step = 1 if H % 3 else 3
-    rows[0, ::step] = step
-    for d in (0, 1):
-        rows[1 + d, :H] = np.bincount((np.arange(2 * d, H + 2 * d) + zech[d::2]) % H, minlength=H)
-    # Z[H] = log 0 = 2H lies in row d = H mod 2, at i = H // 2
-    rows[1 + (H & 1), (H // 2 + 2 * (H & 1)) % H] -= 1
-    rows[1:, H:] = rows[1:, :H]
-    del zech
+    src, rows = _log_rows(p, f, power, log)
     family = np.where(a_idx == 0, 0, 1 + (ea & 1))
     hist_rows = family * (2 * H) + (-3 * (ea >> 1)) % H
     window_rows = np.where(b_idx == 0, 2 * H, -eb % H)
@@ -200,24 +210,53 @@ def trace_grid(p: int):
     return got
 
 
-def _correlate_chi(weights: np.ndarray, p: int) -> np.ndarray:
-    """c[k, s] = sum_v weights[k, v] * chi(v + s) for 0 <= s < p, as int64.
+def _model_counts(p: int, f: int, power: np.ndarray, log: np.ndarray) -> np.ndarray:
+    """Number of nonsingular models y^2 = x^3 + a*x + b over F_q, q = p^f, of
+    each trace r at index r + R, R = isqrt(4q), from the tables _trace_kernel
+    takes; the counts sum to q(q - 1).
 
-    weights is a (k, p) float64 array of rows over F_p.  All rows are
-    correlated against the doubled character table by one batched real FFT of
-    power-of-two length L >= 2p, so v + s < 2p never wraps.  Every entry must
-    be an integer: the table is certified at run time, and a float result at
-    distance 1/4 or more from the nearest integer raises ArithmeticError (for
-    the a-priori bound on FFT rounding error see Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 24).
+    With a = g^(2t + d), c = g^d, b = g^e and w = chi(-1), the product cell of
+    _trace_kernel is X_c[(3t - e) mod H], X_c[s] = sum_j B_c[j] S[(j + s) mod H]:
+      trace(a, b) = -(-1)^e (N_c(0) + X_c[(3t - e) mod H]) for a, b != 0,
+      trace(0, b) = -(-1)^e (1 + X_0[-e mod H]) for b != 0,
+      trace(a, 0) = -(1 + w) (-1)^t sum_j (-1)^j B_c[j] for a != 0,
+    as W0 = 0 unless H is even, and then -3t has the parity of t.  Each (c, s)
+    takes H pairs (t, e) of each parity of e, so each value v of N_c(0) + X_c
+    is H models of trace -v and H of trace v.  The q - 1 singular pairs
+    (-3u^2, 2u^3) among them read -sum_{x != u} chi(x + 2u) = chi(3u), H of
+    them 1 and H -1, and are taken off.  X comes from one float64 real FFT of
+    power-of-two length L >= 2H - 1 against S twice over, certified within 1/4
+    of integers, else ArithmeticError (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 24, bounds the rounding error a priori).
     """
-    L = 1 << (2 * p - 1).bit_length()
-    spectrum = np.conj(np.fft.rfft(weights, L)) * np.fft.rfft(quadratic_character(p), L)
-    c = np.fft.irfft(spectrum, L)[:, :p]
-    exact = np.rint(c)
-    if np.abs(c - exact).max() >= 0.25:
-        raise ArithmeticError(f"FFT character sums over F_{p} are not certified integers")
-    return exact.astype(np.int64)
+    H = len(power) // 2
+    R = isqrt(8 * H + 4)
+    w = 1 - 2 * (H & 1)
+    src, rows = _log_rows(p, f, power, log)
+    # B_0, B_1, B_g and S twice over, zero-padded to L, through one real FFT
+    L = 1 << (2 * H - 2).bit_length()
+    pad = np.zeros((4, L))
+    pad[:3, :H] = rows[:, :H]
+    pad[3, : 2 * H] = src[: 2 * H]
+    sign = 1 - 2 * (np.arange(H) & 1)
+    V = (1 + w) * (pad[1:3, :H] @ sign)
+    spectrum = np.fft.rfft(pad)
+    del pad
+    np.conjugate(spectrum[:3], out=spectrum[:3])
+    spectrum[:3] *= spectrum[3]
+    c = np.fft.irfft(spectrum[:3], L)[:, :H]
+    X = np.rint(c)
+    if np.abs(c - X).max() >= 0.25:
+        raise ArithmeticError(f"FFT character sums over F_{p ** f} are not certified integers")
+    X = X.astype(np.int64) + [[1], [2 + w], [2 - w]]  # 1 + X_0, then N_c(0) + X_c
+    # each v in h is H models at v and H at -v; by e -> -e, which keeps the
+    # parity of e, the a = 0 traces are -(-1)^e (1 + X_0[e]) for e < H and w
+    # times those for e >= H, whence k and k[::w]; then the b = 0 traces
+    h = np.bincount(R + X[1:].ravel(), minlength=2 * R + 1)
+    k = np.bincount(R - sign * X[0], minlength=2 * R + 1)
+    counts = H * (h + h[::-1]) + k + k[::w] + np.bincount(R - np.outer(V, sign).ravel().astype(np.int64), minlength=2 * R + 1)
+    counts[[R - 1, R + 1]] -= H
+    return counts
 
 
 def trace_counts(p: int) -> np.ndarray:
@@ -225,55 +264,14 @@ def trace_counts(p: int) -> np.ndarray:
 
     counts[r + R], with R = isqrt(4p - 1), is the number of (a, b) in F_p^2
     with 4a^3 + 27b^2 != 0 whose curve has trace r; the counts sum to
-    p(p - 1).  Models are counted by j-invariant (Silverman, AEC, X.5):
-    the p - 1 models (0, b) with j = 0 and the p - 1 models (a, 0) with
-    j = 1728 are traced one by one, and every other j has p - 1 models, half
-    of them isomorphic to one curve of trace t and half to its quadratic
-    twist, of trace -t.  The curves y^2 = x^3 + a*x + a with a != 0 and
-    4a + 27 != 0 give each such j once, since j = 1728*4a/(4a + 27) is a
-    bijection there.
-
-    chi is multiplicative, so each of the three families is one correlation
-    c[s] = sum_v w[v] chi(v + s) of a weight row w with chi:
-      j = 0, models (0, b): w is the histogram of x^3, and t(b) = -c[b];
-      j = 1728, models (a, 0): x^3 + a*x = x*(x^2 + a), so w[x^2] accumulates
-        chi(x) for x != 0, and t(a) = -c[a];
-      curves (a, a): x^3 + a*x + a = (x + 1)*(x^3/(x + 1) + a) for x != -1,
-        so w[x^3/(x + 1)] accumulates chi(x + 1), and t(a) = -chi(-1) - c[a].
-    The three rows go through _correlate_chi together: O(p log p) per prime.
+    p(p - 1).  They are _model_counts of the tables of _discrete_log, whose
+    R = isqrt(4p) is the same, as 4p is not a square: O(p log p) per prime.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("characteristic must be a prime greater than 3")
     if p >= 2**31:
         raise OverflowError("products of residues overflow int64 for p >= 2^31")
-    R = isqrt(4 * p - 1)
-    size = 2 * R + 1
-    chi = quadratic_character(p)
-    x = np.arange(p, dtype=np.int64)
-    square = x * x % p
-    cube = square * x % p
-    nz = x[1:]
-    # inv[x] = 1/(x + 1) for x != -1 by Fermat, (x + 1)^(p-2), products below p^2
-    inv = np.ones_like(nz)
-    base = nz.copy()
-    e = p - 2
-    while e:
-        if e & 1:
-            inv = inv * base % p
-        base = base * base % p
-        e >>= 1
-    weights = np.stack([
-        np.bincount(cube, minlength=p).astype(np.float64),
-        np.bincount(square[1:], weights=chi[1:p], minlength=p),
-        np.bincount(cube[:-1] * inv % p, weights=chi[1:p], minlength=p),
-    ])
-    c = _correlate_chi(weights, p)
-    # one curve (a, a) per j outside {0, 1728}
-    generic = nz[(4 * nz + 27) % p != 0]
-    j0, j1728, t = -c[0, 1:], -c[1, 1:], -int(chi[p - 1]) - c[2, generic]
-    counts = np.bincount(j0 + R, minlength=size) + np.bincount(j1728 + R, minlength=size)
-    counts += (p - 1) // 2 * (np.bincount(t + R, minlength=size) + np.bincount(R - t, minlength=size))
-    return counts
+    return _model_counts(p, 1, *_discrete_log(p))
 
 
 def isogeny_mass_oracle(p: int, r: int) -> Fraction:
@@ -282,8 +280,8 @@ def isogeny_mass_oracle(p: int, r: int) -> Fraction:
     Counting all nonsingular (a, b) models and dividing by p - 1 weighs each
     isomorphism class by the inverse of its automorphism group, since a class
     with aut size w has (p-1)/w distinct models.  The count is read from
-    trace_counts, which traces one curve per j-invariant and counts its
-    quadratic twist with it: O(p log p) per call.
+    trace_counts, the correlations of the trace kernel's log-coordinate rows:
+    O(p log p) per call.
     """
     if r * r >= 4 * p:
         raise ValueError("trace violates the Hasse bound")
@@ -425,13 +423,14 @@ def _as_prime_field_int(value, p: int) -> int:
 
 def trace_mod_q(curve: ReducedCurve) -> int:
     """Trace of Frobenius of a reduced curve over its residue field, by
-    trace_mod_p for f = 1 and as a 1x1 field_trace_matrix for f > 1.
-    Raises ValueError on a singular model."""
+    trace_mod_p for f = 1 and as a 1x1 field_trace_matrix for f > 1.  Raises
+    ValueError on a singular model, and on a modulus not of degree f before
+    any table is built."""
     if curve.f == 1:
         return trace_mod_p(_as_prime_field_int(curve.a, curve.p), _as_prime_field_int(curve.b, curve.p), curve.p)
-    field = SmallField(curve.p, curve.modulus)
-    if field.f != curve.f:
+    if gfpoly.degree(gfpoly.normalize(curve.modulus, curve.p)) != curve.f:
         raise ValueError("modulus degree disagrees with the stated field degree")
+    field = SmallField(curve.p, curve.modulus)
     traces, nonsingular = field_trace_matrix(field, [field.element_index(curve.a)], [field.element_index(curve.b)])
     if not nonsingular[0, 0]:
         raise ValueError("singular model over the extension field")

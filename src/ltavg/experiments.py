@@ -527,9 +527,9 @@ def deuring_check(p_max: int) -> ExperimentReport:
     every trace in the Hasse range; mismatches are listed in the config.
 
     The mass of trace r is the number of trace-r models over F_p divided by
-    p - 1.  One trace_counts call per prime gives every r at once, from one
-    curve per j-invariant and its quadratic twist, by three FFT correlations,
-    so a prime costs O(p log p).  The expected masses H(r^2 - 4p)/2 come from
+    p - 1.  One trace_counts call per prime gives every r at once, read off
+    the correlations of the trace kernel's log-coordinate rows, so a prime
+    costs O(p log p).  The expected masses H(r^2 - 4p)/2 come from
     one hurwitz_values call on every n <= 4 p_max, which the primes then read
     as 4p - r^2, so mass and expected mass agree exactly when
     12 * count = (p - 1) * 6H.  Raises ValueError for p_max < 5, where there

@@ -8,8 +8,9 @@ forms, where the package inverts its Hurwitz values), L1_series (L(1, chi_d)
 by direct summation), is_fundamental, c_coefficient (the enumeration that
 ltconstant's series coefficients are checked against), and
 trace_counts_gather (trace counts by gathering every character value, where
-the package correlates by FFT) and trace_table_gather (every trace over F_p
-by the same gather, where the package folds x -> -x into a float32 product),
+the package reads them off the trace kernel's log-coordinate rows) and
+trace_table_gather (every trace over F_p by the same gather, where the
+package multiplies shifted log-coordinate rows in float32),
 factor_patterns_ddf (mod-p factor degrees by one distinct-degree
 factorisation per prime, where the package composes batched Frobenius
 images), pi_half_mpmath (li differences from mpmath, where the package

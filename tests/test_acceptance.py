@@ -247,6 +247,17 @@ def test_criterion_10_higher_degree_bounded():
     record_criterion(10, f"degree-3 box averages {values[0]:.3f}, {values[1]:.3f} < 2, {dt:.1f}s")
 
 
+def test_higher_degree_bounded_on_a_sextic_field():
+    # criterion 10 averages over Q, which has no degree-3 primes; S3_x3m2 has
+    # them, so here the degree-3 average is a count of actual primes
+    t0 = time.monotonic()
+    box = CurveBox((1, 2, 0, -1, 3, 1), (1,) * 6, (3, -1, 2, 0, 1, 5), (1,) * 6)
+    rep = box_average(_field("S3_x3m2"), box, 1, 3, 10**5, checkpoints=(3 * 10**4,))
+    values = [row["empirical"] for row in rep.rows]
+    assert len(values) == 2 and all(0 < avg < 2 for avg in values), values
+    assert time.monotonic() - t0 < 300
+
+
 def test_criterion_11_theta_chebotarev():
     t0 = time.monotonic()
     Qi = _field("Q_i")

@@ -31,6 +31,7 @@ from ltavg import (
     trace_mod_q,
 )
 from ltavg import curves, gfpoly
+from ltavg.classnumber import hurwitz_values
 from ltavg.curves import ReducedCurve, field_trace_matrix, is_singular, trace_counts, trace_grid, trace_matrix
 from ltavg.primes import sieve_primes
 
@@ -241,7 +242,8 @@ def test_isogeny_mass_known_value():
 
 
 def test_trace_counts_match_trace_grid():
-    # the j-invariant count against the full (a, b) grid, model by model
+    # the counts read off the correlations against the full (a, b) grid of
+    # _trace_kernel, model by model
     for p in sieve_primes(149).tolist():
         if p < 5:
             continue
@@ -255,23 +257,22 @@ def test_trace_counts_match_trace_grid():
 
 
 def test_trace_counts_match_gather():
-    # the FFT correlations against the O(p^2) gather, past the grid test's range
-    primes = [p for p in sieve_primes(699).tolist() if p > 150] + [5003]
+    # the log-row correlations against the O(p^2) gather of one curve per
+    # j-invariant
+    primes = [p for p in sieve_primes(699).tolist() if p >= 5] + [5003]
     for p in primes:
         assert np.array_equal(trace_counts(p), trace_counts_gather(p)), p
 
 
-def test_correlate_chi_certifies_integers():
-    p = 101
-    weights = np.zeros((2, p))
-    weights[0, 7] = 2.0
-    # c[0, s] = 2 chi(7 + s), and chi[7 : 7 + p] is one period of the table
-    assert np.array_equal(curves._correlate_chi(weights, p)[0], 2 * curves.quadratic_character(p)[7 : 7 + p])
-    # a half-integer weight puts c[1, s] = chi(3 + s) / 2 at distance 1/2
-    # from an integer wherever chi(3 + s) != 0
-    weights[1, 3] = 0.5
+def test_model_counts_certify_integers(monkeypatch):
+    # an inverse FFT off by 1/2 everywhere is at distance 1/2 from every integer
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.5)
     with pytest.raises(ArithmeticError):
-        curves._correlate_chi(weights, p)
+        trace_counts(101)
+    F = curves.SmallField(7, (1, 0, 1))
+    with pytest.raises(ArithmeticError):
+        curves._model_counts(7, 2, F.power, F.log)
 
 
 def test_trace_counts_rejects_bad_characteristic():
@@ -387,11 +388,38 @@ def test_small_field_tables(p, modulus):
     assert all(chi[_field_digits(int(F.power[k]), p, F.f)] == (-1) ** k for k in range(q - 1))
 
 
+@pytest.mark.parametrize("p, modulus", _EXTENSION_FIELDS + [(101, (99, 0, 1)), (13, (11, 0, 0, 1))])
+def test_model_counts_satisfy_schoof(p, modulus):
+    # Schoof (J. Combin. Theory A 46, 1987): for p not dividing r, the models
+    # of trace r over F_q have mass H(r^2 - 4q)/2, so 12 count = (q - 1) 6H
+    F = curves.SmallField(p, modulus)
+    q = F.q
+    counts = curves._model_counts(p, F.f, F.power, F.log)
+    R = math.isqrt(4 * q)
+    assert len(counts) == 2 * R + 1 and counts.sum() == q * (q - 1)
+    r = np.arange(-R, R + 1)
+    r = r[r % p != 0]
+    n = np.unique(4 * q - r * r)
+    H6 = hurwitz_values(n)[np.searchsorted(n, 4 * q - r * r)]
+    assert np.array_equal(12 * counts[r + R], (q - 1) * H6), q
+
+
 def test_reduced_curve_field_size_is_below_two_to_the_24():
     assert ReducedCurve(1, 1, 16777213).p == 16777213  # the largest prime below 2^24
     for args in [(1, 1, 16777259), (1, 1, 10**9 + 7), ((1, 0), (1, 0), 4099, 2, (2, 0, 1)), (1, 1, 7, 10**9, (1,))]:
         with pytest.raises(ValueError, match="2\\^24"):
             ReducedCurve(*args)
+
+
+def test_trace_mod_q_checks_the_modulus_degree_first(monkeypatch):
+    def no_field(*args):
+        raise AssertionError("SmallField built")
+
+    monkeypatch.setattr(curves, "SmallField", no_field)
+    # q = 257^2 is below 2^24 but 257^3 is not; 7^3 would build 343 entries
+    for p in (257, 7):
+        with pytest.raises(ValueError, match="modulus degree disagrees"):
+            trace_mod_q(ReducedCurve((1, 0), (1, 0), p, 2, (1, 1, 0, 1)))
 
 
 def test_small_field_accepts_exactly_the_irreducible_moduli():

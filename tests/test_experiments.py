@@ -296,6 +296,22 @@ def test_count_box_reductions_full_residue_exact():
             assert main == pytest.approx(want_main)
 
 
+@pytest.mark.parametrize("name, primes", [("Q_i", (7, 11, 19, 31)), ("Q_zeta3", (5, 11, 17, 29))])
+def test_full_residue_box_matches_model_counts_at_degree_two(name, primes):
+    # at an inert p the box of radius (p - 1)/2 on both coordinates reduces
+    # onto F_{p^2} once over, so its trace-r pairs are the residue field's
+    # trace-r models, as in criterion 9 at f = 1
+    field = parse_field(name)
+    for p in primes:
+        A, B = _box_sides(CurveBox((0, 0), ((p - 1) // 2,) * 2, (0, 0), ((p - 1) // 2,) * 2))
+        fields = [curves.SmallField(p, pr.modulus) for pr in degree_f_primes(field, p, 2)]
+        assert len(fields) == 1
+        counts = [curves._model_counts(p, 2, F.power, F.log) for F in fields]
+        for r in (0, 1, 3, p + 1):
+            want = sum(int(c[r + 2 * p]) for c in counts)
+            assert experiments._count_worker([p], field, A, B, r, 2) == [(p, want)], (p, r)
+
+
 def test_count_box_reductions_rejects_singular_target():
     Q = _Q()
     box = CurveBox((0,), (5,), (0,), (5,))
