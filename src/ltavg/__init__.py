@@ -2,6 +2,9 @@
 traces of Frobenius, and the average trace-multiplicity constant, with
 desk-scale experiment runners."""
 
+import os
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read as numpy loads; more threads oversubscribe forked workers
+
 from .classnumber import (
     L1_formula,
     class_number_h,

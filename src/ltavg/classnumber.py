@@ -21,6 +21,7 @@ import numpy as np
 from .primes import sieve_primes
 
 _KRON2 = (0, 1, 0, -1, 0, -1, 0, 1)  # (a/2) indexed by a mod 8
+_BLOCK_CELLS = 1 << 14  # residues and band queries per block of a in hurwitz_values
 
 # hurwitz_H and class_number_h, which `classnum --D` and L1_formula reach,
 # fill these memos; each is emptied when it reaches _MEMO_LIMIT entries
@@ -81,7 +82,7 @@ def class_numbers(n) -> tuple[np.ndarray, np.ndarray]:
     Moebius inversion of the square-divisor sum in the module docstring:
     2 h(d) / w(d) = sum of mu(k) H(d/k^2) over the squarefree k with k^2 | d
     and d/k^2 a discriminant.  hurwitz_values runs once, on the union of the
-    n/k^2 (k = 1 among them); time is about len(n) * sqrt(max n) gathers.
+    n/k^2 (k = 1 among them), in about len(union) * sqrt(max n) / 3 gathers.
     """
     n = np.asarray(n, dtype=np.int64)
     if n.ndim != 1 or len(n) and (n[0] < 3 or np.count_nonzero(n[1:] <= n[:-1]) or np.count_nonzero(-n % 4 > 1)):
@@ -133,17 +134,21 @@ def hurwitz_values(n) -> np.ndarray:
     exact, and 0 where n = 0 or n = 1, 2 mod 4.
 
     Counts the reduced forms (a, b, c) of discriminant -n, imprimitive ones
-    included, one a at a time for 3a^2 <= max n (Cohen, A Course in
+    included, for each a with 3a^2 <= max n (Cohen, A Course in
     Computational Algebraic Number Theory, 5.3).  A form is one root
     b in (-a, a] of b^2 = -n mod 4a with c = (n + b^2)/4a >= a, and c > a
     when b < 0.  For n >= 4a^2 every root qualifies, so R[(-n) mod 4a] counts
-    them, R the bincount of b^2 mod 4a.  For 3a^2 <= n < 4a^2, a contiguous
-    slice of the queries, only the roots with b^2 >= m = 4a^2 - n do, and
+    them, R the bincount of b^2 mod 4a: one gather per a.  For 3a^2 <= n < 4a^2,
+    the band of a, only the roots with b^2 >= m = 4a^2 - n do, and
     b^2 > m when b < 0: with the roots sorted by residue and then by the key
-    2b^2 - [b < 0], those are the tail of the residue's block from the first
-    key >= 2m.  (a, 0, a) at n = 4a^2 and (a, a, a) at n = 3a^2 then give back
-    3 and 4, for their weights 1/2 and 1/3.  Memory is O(len(n) + sqrt(max n));
-    time is about len(n) * sqrt(max n) / 3 gathers.
+    2b^2 - [b < 0], those are the tail of the residue's run from the first
+    key >= 2m.  The a go in blocks of consecutive a of about _BLOCK_CELLS
+    residues and band queries: a block builds its roots and R in one ragged
+    pass, sorts all its keys at once, its residue slots end to end, and
+    answers all its band queries with one searchsorted.  (a, 0, a) at n = 4a^2
+    and (a, a, a) at n = 3a^2 then give back 3 and 4, for their weights 1/2
+    and 1/3.  Memory is O(len(n) + sqrt(max n) + _BLOCK_CELLS); time is about
+    len(n) * sqrt(max n) / 3 gathers, five numpy calls per a, dozens per block.
     """
     n = np.asarray(n, dtype=np.int64)
     if n.ndim != 1:
@@ -154,38 +159,39 @@ def hurwitz_values(n) -> np.ndarray:
     if n[0] < 0 or np.count_nonzero(n[1:] <= n[:-1]):
         raise ValueError("n must be nonnegative and strictly ascending")
     N = int(n[-1])
-    # the band keys reach 4a * (2a^2 + 2) < 2^63 for 3a^2 <= N < 2^40
+    # a block's keys stay below (_BLOCK_CELLS + 4a)(2a^2 + 2) < 2^63 for 3a^2 <= N < 2^40
     if N >= 1 << 40:
         raise OverflowError("band keys overflow int64 for n >= 2^40")
-    neg = -n
-    a = 1
-    while 3 * a * a <= N:
-        q = 4 * a
-        b = np.arange(1 - a, a + 1, dtype=np.int64)
+    a = np.arange(1, math.isqrt(N // 3) + 1)
+    lo3, lo4 = n.searchsorted(3 * a * a), n.searchsorted(4 * a * a)
+    out[lo4[n.take(lo4, mode="clip") == 4 * a * a]] -= 3
+    out[lo3[n.take(lo3, mode="clip") == 3 * a * a]] -= 4
+    # a block is the run of a whose residue and band cells start in one window of _BLOCK_CELLS
+    cells = 4 * a + lo4 - lo3
+    starts = np.flatnonzero(np.diff((np.cumsum(cells) - cells) // _BLOCK_CELLS, prepend=-1)).tolist()
+    for i, j in zip(starts, starts[1:] + [len(a)]):
+        ab, two = a[i:j], 2 * a[i:j]
+        slot, K = 4 * (np.cumsum(ab) - ab), 2 * int(ab[-1]) ** 2 + 2
+        assert 4 * int(ab.sum()) * K < 1 << 63
+        b = np.arange(int(two.sum())) - np.repeat(np.cumsum(two) - ab - 1, two)
+        ar = np.repeat(ab, two)
         sq = b * b
-        res = sq % q
-        R = np.bincount(res, minlength=q)
-        lo3 = int(n.searchsorted(3 * a * a))
-        lo4 = int(n.searchsorted(4 * a * a))
-        out[lo4:] += (6 * R)[neg[lo4:] % q]
-        if lo4 < len(n) and n[lo4] == 4 * a * a:
-            out[lo4] -= 3
-        if lo3 < lo4:
-            # only the band queries whose residue has roots need a search
-            t = neg[lo3:lo4] % q
-            hit = np.nonzero(R[t])[0]
+        res = sq % (4 * ar) + np.repeat(slot, two)
+        R = 6 * np.bincount(res, minlength=4 * int(ab.sum()))
+        for s, q, lo in zip(slot.tolist(), (4 * ab).tolist(), lo4[i:j].tolist()):
+            v = n[lo:]  # -(v % q) indexes (-v) % q from the slot's end; // by one q beats %
+            out[lo:] += R[s : s + q][v // q * q - v]
+        m, base, top = lo4[i:j] - lo3[i:j], int(lo3[i]), int(lo4[j - 1])
+        if base < top:
+            keys = np.sort(res * K + 2 * (sq - 4 * ar * ar) - (b < 0))  # less 8a^2: the bound 2m is -2n
+            rows = np.arange(int(m.sum())) - np.repeat(np.cumsum(m) - m - lo3[i:j] + base, m)
+            nq = n[base:top][rows]
+            t = -nq % np.repeat(4 * ab, m) + np.repeat(slot, m)
+            hit = np.flatnonzero(R[t])
             t = t[hit]
-            K = 2 * a * a + 2
-            keys = res * K + 2 * sq
-            keys[: a - 1] -= 1  # b < 0
-            # the keys are distinct; the stable sort maps fewer numpy code
-            # pages than the default quicksort, which shows in peak RSS
-            keys.sort(kind="stable")
-            first = keys.searchsorted(t * K + 2 * (4 * a * a + neg[lo3 + hit]))
-            out[lo3 + hit] += 6 * (np.cumsum(R)[t] - first)
-            if n[lo3] == 3 * a * a:
-                out[lo3] -= 4
-        a += 1
+            first = keys.searchsorted(t * K - 2 * nq[hit])
+            # one n lies in the bands of several a, so rows add by bincount, exact in float64
+            out[base:top] += np.bincount(rows[hit], np.cumsum(R)[t] - 6 * first, top - base).astype(np.int64)
     return out
 
 

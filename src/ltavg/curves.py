@@ -266,11 +266,12 @@ def trace_counts(p: int) -> np.ndarray:
     with 4a^3 + 27b^2 != 0 whose curve has trace r; the counts sum to
     p(p - 1).  They are _model_counts of the tables of _discrete_log, whose
     R = isqrt(4p) is the same, as 4p is not a square: O(p log p) per prime.
+    p >= 2^24, the bound of every table kernel, is refused before any table.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("characteristic must be a prime greater than 3")
-    if p >= 2**31:
-        raise OverflowError("products of residues overflow int64 for p >= 2^31")
+    if p >= 2**24:
+        raise OverflowError(f"trace counts build tables of p = {p} entries; p must be below 2^24")
     return _model_counts(p, 1, *_discrete_log(p))
 
 

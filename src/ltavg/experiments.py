@@ -533,12 +533,14 @@ def deuring_check(p_max: int) -> ExperimentReport:
     one hurwitz_values call on every n <= 4 p_max, which the primes then read
     as 4p - r^2, so mass and expected mass agree exactly when
     12 * count = (p - 1) * 6H.  Raises ValueError for p_max < 5, where there
-    is no prime to check.
+    is no prime to check, and for p_max >= 2^24 before any table is built.
     """
     started = time.time()
     p_max = int(p_max)
     if p_max < 5:
         raise ValueError(f"p_max must be at least 5, got {p_max}")
+    if p_max >= 2**24:
+        raise ValueError(f"p_max must be below 2^24, the bound of trace_counts, got {p_max}")
     rows = []
     mismatches = []
     T = hurwitz_values(np.arange(4 * p_max + 1, dtype=np.int64))

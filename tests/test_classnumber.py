@@ -8,6 +8,7 @@ package's count of all reduced forms and of its Moebius inversion of it.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from ltavg import (
 )
 from ltavg import classnumber
 from ltavg.classnumber import class_numbers, hurwitz_values
+from ltavg.numberfield import admissible_primes, parse_field
 
 
 def test_hurwitz_spot_values():
@@ -73,7 +75,7 @@ def _six_H(n):
     return 0 if n % 4 in (1, 2) else 6 * hurwitz_all_forms(-n)
 
 
-def test_hurwitz_values_at_band_edges():
+def _band_edges():
     # n = 3a^2 and n = 4a^2 are where the forms with c = a sit, and where
     # the per-a count switches between the band and the plain residue count
     ns = set()
@@ -81,12 +83,50 @@ def test_hurwitz_values_at_band_edges():
         for n in (3 * a * a, 4 * a * a, 3 * a * a - 1, 3 * a * a + 1, 4 * a * a - 1, 4 * a * a - 4, 4 * a * a + 4):
             if n > 0:
                 ns.add(n)
-    ns = sorted(ns)
+    return sorted(ns)
+
+
+def test_hurwitz_values_at_band_edges():
+    ns = _band_edges()
     want = [_six_H(n) for n in ns]
     assert hurwitz_values(np.array(ns)).tolist() == want
     # each alone, so the slices of one a hold a single query
     for n, w in zip(ns, want):
         assert hurwitz_values(np.array([n])).tolist() == [w], n
+
+
+@pytest.fixture(scope="module")
+def sweep_to_a_million():
+    return hurwitz_sweep(10**6)
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 30])
+def test_hurwitz_values_same_at_any_block_size(monkeypatch, sweep_to_a_million, cells):
+    # a budget of one cell gives every a its own block, and 2^30 puts every a
+    # in one block, where one n lies in the bands of several a
+    monkeypatch.setattr(classnumber, "_BLOCK_CELLS", cells)
+    X = 2 * 10**4
+    assert np.array_equal(hurwitz_values(np.arange(X + 1)), hurwitz_sweep(X))
+    ns = np.array(_band_edges())
+    assert np.array_equal(hurwitz_values(ns), sweep_to_a_million[ns])
+    rng = np.random.default_rng(cells)
+    for size in (1, 2, 40, 3000, 30000):
+        ns = np.unique(rng.integers(0, 10**6, size))
+        assert np.array_equal(hurwitz_values(ns), sweep_to_a_million[ns]), size
+
+
+def test_hurwitz_values_memory_stays_small():
+    # the discriminants 4p - 1 of the Hurwitz sum over Q at x = 2*10^4 and at
+    # x = 10^6: the blocks of a stay within their cell budget
+    for x, limit in ((2 * 10**4, 1 << 20), (10**6, 4 << 20)):
+        n = 4 * np.array(admissible_primes(parse_field("Q"), x, 1), dtype=np.int64) - 1
+        tracemalloc.start()
+        try:
+            hurwitz_values(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (x, peak)
 
 
 def test_hurwitz_values_zero_off_discriminants():

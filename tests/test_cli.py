@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -287,6 +288,26 @@ def test_deuring_check_without_primes_exits_one(capsys, pmax):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert code == 1 and out == "" and len(errors) == 1 and "at least 5" in errors[0], err
     assert "Traceback" not in err
+
+
+def test_deuring_check_past_the_table_bound_exits_one(capsys):
+    code, out, err = run(capsys, "deuring-check", "--pmax", "20000000")
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 1 and out == "" and len(errors) == 1 and "2^24" in errors[0], err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_import_sets_one_openblas_thread_unless_set(preset, want):
+    # set before numpy loads OpenBLAS, so forked workers do not oversubscribe
+    # the cores; a value the user set is kept
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, ltavg, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want + "\n"
 
 
 def test_hurwitz_sum_csv(capsys):

@@ -284,6 +284,19 @@ def test_trace_counts_rejects_bad_characteristic():
         trace_counts(2147483659)
 
 
+def test_trace_counts_rejects_p_beyond_table_bound():
+    # the smallest prime above 2^24, the bound of every table kernel; the
+    # guard comes before any table of p entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError, match="tables of p = 16777259 entries"):
+            trace_counts(16777259)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_isomorphism_orbit_structure():
     for p in (13, 17):
         for a, b in ((1, 1), (0, 2), (3, 0)):

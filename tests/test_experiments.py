@@ -450,6 +450,20 @@ def test_deuring_check_rejects_range_without_primes():
     assert [row["x"] for row in deuring_check(5).rows] == [5]
 
 
+def test_deuring_check_refuses_p_max_past_the_table_bound():
+    # at p_max = 2*10^7 the Hurwitz table alone would take 640 MB; the
+    # refusal comes before it, and before any trace count
+    tracemalloc.start()
+    try:
+        for p_max in (1 << 24, 2 * 10**7):
+            with pytest.raises(ValueError, match="below 2\\^24"):
+                deuring_check(p_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_deuring_check_builds_no_trace_grid(monkeypatch):
     def no_grid(p):
         raise AssertionError(f"trace_grid({p}) called")
