@@ -20,6 +20,10 @@ import numpy as np
 from . import gfpoly
 from .primes import factorize_slow, is_prime
 
+# residue fields F_q must have q < FIELD_SIZE_BOUND elements: the float32 sums
+# of _trace_kernel are exact below it
+FIELD_SIZE_BOUND = 2**24
+
 # per-prime tables are kept for the current prime only: runners visit each
 # prime once, in order, and the tables grow with p
 _char_tables: dict[int, np.ndarray] = {}
@@ -58,7 +62,7 @@ def trace_mod_p(a: int, b: int, p: int) -> int:
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("characteristic must be a prime greater than 3")
-    if p >= 2**24:
+    if p >= FIELD_SIZE_BOUND:
         raise ValueError("field size p must be below 2^24")
     a %= p
     b %= p
@@ -189,7 +193,7 @@ def trace_matrix(p: int, a_values, b_values):
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("characteristic must be a prime greater than 3")
-    if p >= 2**24:
+    if p >= FIELD_SIZE_BOUND:
         raise OverflowError("float32 character sums are exact only for p < 2^24")
     avals = np.asarray(a_values, dtype=np.int64) % p
     bvals = np.asarray(b_values, dtype=np.int64) % p
@@ -270,7 +274,7 @@ def trace_counts(p: int) -> np.ndarray:
     """
     if p <= 3 or not is_prime(p):
         raise ValueError("characteristic must be a prime greater than 3")
-    if p >= 2**24:
+    if p >= FIELD_SIZE_BOUND:
         raise OverflowError(f"trace counts build tables of p = {p} entries; p must be below 2^24")
     return _model_counts(p, 1, *_discrete_log(p))
 
@@ -336,7 +340,7 @@ class SmallField:
         f = gfpoly.degree(poly)
         if f < 1:
             raise ValueError("modulus must have positive degree")
-        if p**f >= 2**24:
+        if p**f >= FIELD_SIZE_BOUND:
             raise OverflowError("field tables need q = p^f < 2^24")
         # [(f, poly)] exactly when no factor of degree <= f/2 divides poly,
         # squarefree or not
@@ -407,7 +411,7 @@ class ReducedCurve:
         if self.f < 1:
             raise ValueError("field degree must be positive")
         # a trace builds tables of p^f entries; trace_matrix is exact below 2^24
-        if self.f >= 24 or self.p**self.f >= 2**24:
+        if self.f >= 24 or self.p**self.f >= FIELD_SIZE_BOUND:
             raise ValueError("field size p^f must be below 2^24")
         if self.f > 1 and not self.modulus:
             raise ValueError("extension fields need a modulus polynomial")

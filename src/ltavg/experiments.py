@@ -4,13 +4,11 @@ Every fixed-trace count (box_average, box_variance, pi_E_rf) is one
 reduce-and-match pipeline.  Each side of a box is a matrix with one row of
 power-basis coordinates per model (a single curve is a one-row side).  At
 each prime of degree f the rows are reduced to element indices of the residue
-field F_p[t]/(modulus), and the distinct residues of the two sides are matched
-by one trace table: trace_matrix over F_p, or field_trace_matrix over F_{p^f},
+field F_p[t]/(modulus), and the two sides are matched by one trace table with
+a cell per model: trace_matrix over F_p, or field_trace_matrix over F_{p^f},
 which share one kernel; residue fields of 2^24 elements or more are refused
-before the first prime.
-The multiplicities of the distinct residues turn the table into box totals or
-per-model counts.  The exact reduction counts at fixed primes match the same
-distinct residues against isomorphism orbits.
+before the first prime.  The exact reduction counts at fixed primes match the
+same reductions against isomorphism orbits.
 
 Quantities backed by exact identities (box counts, class-number sums,
 reduction counts) are accumulated in integer or rational arithmetic; float
@@ -190,7 +188,7 @@ def _rational_primes(field: GaloisFieldSpec, f: int, x: int, r: int) -> list[int
         ps = admissible_primes(field, x, r)
     else:
         ps = [p for p in sieve_primes(isqrt(x)).tolist() if p**f <= x and p > 3 and field.disc % p != 0]
-    if ps and ps[-1] ** f >= 2**24:
+    if ps and ps[-1] ** f >= curves.FIELD_SIZE_BOUND:
         raise ValueError(f"the residue fields reach {ps[-1]}^{f} elements; p^f must be below 2^24")
     return ps
 
@@ -220,9 +218,8 @@ def _reduce(coords: np.ndarray, pr: DegreeFPrime) -> np.ndarray:
 
 
 def _prime_matches(field: GaloisFieldSpec, A: np.ndarray, B: np.ndarray, r: int, p: int, f: int):
-    """For each degree-f prime above p: which pairs of the two sides' distinct
-    residues give a nonsingular model with trace r, and each side's
-    (inverse index, multiplicity) over its distinct residues."""
+    """For each degree-f prime above p, the (|A|, |B|) mask of the model pairs
+    that reduce to a nonsingular curve with trace r there."""
     if f == 1:
         primes = [DegreeFPrime(p, 1, ((-root) % p, 1)) for root in field.roots_mod(p)]
     else:
@@ -230,38 +227,28 @@ def _prime_matches(field: GaloisFieldSpec, A: np.ndarray, B: np.ndarray, r: int,
     sides = np.concatenate([A, B])  # one power matrix per prime reduces both
     for pr in primes:
         reduced = _reduce(sides, pr)
+        a_idx, b_idx = reduced[: len(A)], reduced[len(A) :]
         if f == 1:
-            # both sides' distinct residues from one histogram, B shifted by p
-            reduced[len(A) :] += p
-            counts = np.bincount(reduced, minlength=2 * p)
-            present = np.flatnonzero(counts)
-            rank, n_a = np.searchsorted(present, reduced), np.searchsorted(present, p)
-            ia, ca, ib, cb = rank[: len(A)], counts[present[:n_a]], rank[len(A) :] - n_a, counts[present[n_a:]]
-            traces, nonsingular = trace_matrix(p, present[:n_a], present[n_a:] - p)
+            traces, nonsingular = trace_matrix(p, a_idx, b_idx)
         else:
-            av, ia, ca = np.unique(reduced[: len(A)], return_inverse=True, return_counts=True)
-            bv, ib, cb = np.unique(reduced[len(A) :], return_inverse=True, return_counts=True)
-            traces, nonsingular = field_trace_matrix(SmallField(p, pr.modulus), av, bv)
-        yield (traces == r) & nonsingular, (ia, ca), (ib, cb)
+            traces, nonsingular = field_trace_matrix(SmallField(p, pr.modulus), a_idx, b_idx)
+        yield (traces == r) & nonsingular
 
 
 def _count_worker(primes, field, A, B, r, f):
     """(p, number of models A x B with trace r at the primes above p)."""
-    out = []
-    for p in primes:
-        total = 0
-        for match, (_, ca), (_, cb) in _prime_matches(field, A, B, r, p, f):
-            total += int(ca @ match @ cb)
-        out.append((p, total))
-    return out
+    return [
+        (p, sum(int(np.count_nonzero(match)) for match in _prime_matches(field, A, B, r, p, f)))
+        for p in primes
+    ]
 
 
 def _variance_worker(primes, field, A, B, r):
     """Per-model counts of the degree-1 primes with trace r, as one matrix."""
     counts = np.zeros((len(A), len(B)), dtype=np.int64)
     for p in primes:
-        for match, (ia, _), (ib, _) in _prime_matches(field, A, B, r, p, 1):
-            counts += match[ia[:, None], ib[None, :]]
+        for match in _prime_matches(field, A, B, r, p, 1):
+            counts += match
     return [counts]
 
 
@@ -380,29 +367,25 @@ def hurwitz_sum_report(field, r: int, x, checkpoints=(), workers: int = 1) -> Ex
     return report.finish(started)
 
 
-def _a1_parts(field: GaloisFieldSpec, r: int, x: int) -> list:
-    """(p, log p * sum over k of L(1, chi_{-m/k^2}) / k) with m = 4p - r^2 and
-    k^2 | m running over the square divisors that leave a discriminant.
-
-    The k-sum telescopes to pi * H(-m) / sqrt(m), with 6 H(-m) read from
-    _hurwitz_parts, so hurwitz_values is asked for these m alone.
-    """
-    return [
-        (p, math.pi * (h6 / 6) / math.sqrt(4 * p - r * r) * math.log(p))
-        for p, h6, _ in _hurwitz_parts(field, r, x)
-    ]
-
-
 def a1_report(field, r: int, x, checkpoints=(), workers: int = 1) -> ExperimentReport:
     """The degree-weighted average of L(1, chi) over admissible primes up to
-    each checkpoint and square divisors of 4p - r^2; workers is ignored."""
+    each checkpoint and square divisors of 4p - r^2; workers is ignored.
+
+    Each prime's term is log p * sum over k of L(1, chi_{-m/k^2}) / k, with
+    m = 4p - r^2 and k^2 | m running over the square divisors that leave a
+    discriminant.  The k-sum telescopes to pi * H(-m) / sqrt(m), with 6 H(-m)
+    read from _hurwitz_parts, so hurwitz_values is asked for these m alone.
+    """
     started = time.time()
     field = _as_field(field)
     r, x = int(r), int(x)
     if x < 7:
         raise ValueError("x must be at least 7")
     xs = _merge_checkpoints(x, checkpoints)
-    parts = _a1_parts(field, r, x)
+    parts = [
+        (p, math.pi * (h6 / 6) / math.sqrt(4 * p - r * r) * math.log(p))
+        for p, h6, _ in _hurwitz_parts(field, r, x)
+    ]
     constant = constant_product(field, r)
     rows = []
     terms = [t for _, t in parts]
@@ -427,10 +410,9 @@ def _count_reductions(field, box: CurveBox, targets: list) -> tuple[int, float]:
     targets, a list of (ReducedCurve, rational prime p), is isomorphic to the
     target there, with the main term V * prod(p - 1) / prod(p^2 * #Aut).
 
-    Above each p the degree-1 prime of least root is taken.  The distinct
-    residue tuples of each box side (counts ca, cb) are matched pairwise
-    against the targets' isomorphism orbits, so the match matrix has at most
-    one cell per box model, and the count is ca @ match @ cb.
+    Above each p the degree-1 prime of least root is taken.  Each side's
+    residues there are matched pairwise against the target's isomorphism
+    orbit, so the match matrix has one cell per box model, whatever the primes.
     """
     field = _as_field(field)
     _check_box(field, box)
@@ -456,18 +438,15 @@ def _count_reductions(field, box: CurveBox, targets: list) -> tuple[int, float]:
             raise ValueError("singular target rejected")
         orbits.append(curves._orbit_codes(a0, b0, p))
         num, den = num * (p - 1), den * p * p * curves.aut_size(a0, b0, p)
-    (ua, ca), (ub, cb) = (
-        np.unique(np.stack([_reduce(side, pr) for pr in primes], axis=1), axis=0, return_counts=True)
-        for side in _box_sides(box)
-    )
-    match = np.ones((len(ua), len(ub)), dtype=bool)
-    for k, (p, orbit) in enumerate(zip(ps, orbits)):
+    A, B = _box_sides(box)
+    match = np.ones((len(A), len(B)), dtype=bool)
+    for pr, orbit in zip(primes, orbits):
         # binary search in the sorted orbit, so the |A| x |B| codes are never
         # sorted; the sentinel p^2 exceeds every code
-        codes = ua[:, k, None] * p + ub[None, :, k]
-        match &= np.append(orbit, p * p)[np.searchsorted(orbit, codes)] == codes
+        codes = _reduce(A, pr)[:, None] * pr.p + _reduce(B, pr)[None, :]
+        match &= np.append(orbit, pr.p**2)[np.searchsorted(orbit, codes)] == codes
     # one int / int division, so the float is correctly rounded
-    return int(ca @ match @ cb), num / den
+    return int(np.count_nonzero(match)), num / den
 
 
 def count_box_reductions(field, box: CurveBox, target: ReducedCurve, prime):
@@ -539,7 +518,7 @@ def deuring_check(p_max: int) -> ExperimentReport:
     p_max = int(p_max)
     if p_max < 5:
         raise ValueError(f"p_max must be at least 5, got {p_max}")
-    if p_max >= 2**24:
+    if p_max >= curves.FIELD_SIZE_BOUND:
         raise ValueError(f"p_max must be below 2^24, the bound of trace_counts, got {p_max}")
     rows = []
     mismatches = []

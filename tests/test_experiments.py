@@ -212,6 +212,49 @@ def test_box_average_extension_degree_matches_euler_oracle():
     assert nonzero >= 6
 
 
+def test_box_sides_wider_than_small_primes_match_per_model_enumeration():
+    # the 25-wide sides hold residues mod each prime from 7 to 23 more than
+    # once, and part of the residues mod each prime from 29 to 59
+    Q = _Q()
+    box = CurveBox((3,), (12,), (-5,), (12,))
+    alphas, betas = range(-9, 16), range(-17, 8)
+    from ltavg import trace_mod_p
+
+    for r in (0, 1, -2):
+        ps = admissible_primes(Q, 60, r)
+        assert ps[0] == 7 and ps[-1] == 59
+        counts = np.array([
+            [sum((4 * a**3 + 27 * b**2) % p != 0 and trace_mod_p(a, b, p) == r for p in ps) for b in betas]
+            for a in alphas
+        ])
+        assert box_average(Q, box, r, 1, 60).rows[-1]["empirical"] == counts.sum() / box.cardinality, r
+        dev = counts - 0.3 * pi_half(60)
+        assert box_variance(Q, box, r, 60, 0.3) == pytest.approx(np.mean(dev * dev), rel=1e-12), r
+        for i, j in ((0, 0), (7, 19), (12, 12), (24, 3)):
+            assert pi_E_rf(Q, CurveModel((alphas[i],), (betas[j],)), r, 1, 60) == counts[i, j], (r, i, j)
+
+
+def test_extension_box_wider_than_its_residue_fields_matches_euler_oracle():
+    # alpha's first coordinate spans 15 values, so its residues in F_{p^2}
+    # repeat at the inert primes 7 and 11, the two with p^2 <= 121
+    Qi = parse_field("Q_i")
+    box = CurveBox((2, 0), (7, 1), (1, -1), (1, 1))
+    alphas = list(product(range(-5, 10), range(-1, 2)))
+    betas = list(product(range(0, 3), range(-2, 1)))
+    traces = {
+        (alpha, beta): [extension_trace_euler(alpha, beta, p, (1, 0, 1)) for p in (7, 11)]
+        for alpha in alphas
+        for beta in betas
+    }
+    flat = [t for ts in traces.values() for t in ts]
+    for r in (-13, -4, 0, 2, 10):
+        assert flat.count(r) > 0, r
+        assert box_average(Qi, box, r, 2, 121).rows[-1]["empirical"] == flat.count(r) / box.cardinality, r
+    for alpha, beta in [(alphas[0], betas[0]), (alphas[20], betas[4]), (alphas[-1], betas[-1])]:
+        for r in {t for t in traces[alpha, beta] if t is not None} | {1}:
+            assert pi_E_rf(Qi, CurveModel(alpha, beta), r, 2, 121) == traces[alpha, beta].count(r), (alpha, beta, r)
+
+
 def test_box_average_checkpoint_rows():
     Q = _Q()
     box = CurveBox((0,), (3,), (0,), (3,))
@@ -340,7 +383,7 @@ def test_count_box_reductions_pair_full_residue():
 
 @pytest.mark.parametrize("t1, t2", [((2, 4), (1, 1)), ((2, 4), (2, -4))])
 def test_count_box_reductions_pair_at_large_primes_matches_enumeration(t1, t2):
-    # the match matrix spans the box's 11 x 11 distinct residue pairs, not
+    # the match matrix spans the box's 11 x 11 models, one cell each, not
     # tables indexed by residue codes at both primes (p1 * p2 cells)
     Q = _Q()
     box = CurveBox((0,), (5,), (0,), (5,))
