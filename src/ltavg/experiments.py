@@ -10,9 +10,9 @@ which share one kernel; residue fields of 2^24 elements or more are refused
 before the first prime.  The exact reduction counts at fixed primes match the
 same reductions against isomorphism orbits.
 
-Quantities backed by exact identities (box counts, class-number sums,
-reduction counts) are accumulated in integer or rational arithmetic; float
-aggregates use compensated summation in a canonical prime order.  The prime
+Box and reduction counts are exact integers; class-number sums are
+correctly rounded from a certified fixed-point prefix; float aggregates use
+compensated summation in a canonical prime order.  The prime
 loop of the box runners can be sharded across forked worker processes, each
 handed its configuration as arguments, and results are merged in canonical
 order, so any worker count produces an identical report body.
@@ -25,6 +25,7 @@ import os
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import isqrt
@@ -47,6 +48,7 @@ from .primes import is_prime, sieve_primes
 from .report import ExperimentReport, constant_provenance, make_row, phase
 
 DESK_CARDINALITY_BOUND = 10**6
+_SUM_BITS = 128  # fraction bits of the fixed-point Hurwitz prefix
 
 
 @dataclass(frozen=True)
@@ -327,21 +329,13 @@ def _hurwitz_parts(field: GaloisFieldSpec, r: int, x: int) -> list:
     return [(p, h, 6 * p) for p, h in zip(ps, H6.tolist())]
 
 
-def _tree_sum(pairs: list) -> tuple[int, int]:
-    """The sum of the fractions num/den in pairs, added pairwise so the
-    operands stay balanced; unreduced."""
-    if not pairs:
-        return 0, 1
-    while len(pairs) > 1:
-        merged = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])]
-        pairs = merged + pairs[len(merged) * 2 :]
-    return pairs[0]
-
-
 def hurwitz_sum_report(field, r: int, x, checkpoints=(), workers: int = 1) -> ExperimentReport:
-    """Exact-rational accumulation of H(r^2-4p)/p over admissible split primes
-    up to each checkpoint, scaled by half the field degree.  The sum reads
-    one hurwitz_values entry per prime, so workers is accepted and ignored."""
+    """H(r^2-4p)/p summed over admissible split primes up to each checkpoint,
+    scaled by half the field degree and correctly rounded; workers is ignored.
+
+    T = sum of floor(2^B * 6H / 6p) puts 2^B times the sum in [T, T + end), and
+    rounding is monotone: if both ends round alike, that float is the row
+    (Ziv's test), else that row alone is summed exactly in Fractions."""
     started = time.time()
     field = _as_field(field)
     r, x = int(r), int(x)
@@ -351,13 +345,15 @@ def hurwitz_sum_report(field, r: int, x, checkpoints=(), workers: int = 1) -> Ex
     parts = _hurwitz_parts(field, r, x)
     constant = constant_product(field, r)
     rows = []
-    num, den = 0, 1
+    T = 0
     ends = _checkpoint_ends([p for p, _, _ in parts], xs)
     for xc, start, end in zip(xs, [0] + ends, ends):
-        hn, hd = _tree_sum([(hn, hd) for _, hn, hd in parts[start:end]])
-        num, den = num * hd + hn * den, den * hd
+        T += sum((h << _SUM_BITS) // q for _, h, q in parts[start:end])
         # int true division rounds correctly, as float(Fraction) does
-        rows.append(make_row(xc, num * field.n_K / (den * 2), constant.value * pi_half(xc)))
+        value = T * field.n_K / (2 << _SUM_BITS)
+        if value != (T + end) * field.n_K / (2 << _SUM_BITS):
+            value = float(sum(Fraction(h, q) for _, h, q in parts[:end]) * field.n_K / 2)
+        rows.append(make_row(xc, value, constant.value * pi_half(xc)))
     report = ExperimentReport(
         kind="hurwitz-sum",
         config={"field": field.name, "r": r, "x": x},

@@ -107,12 +107,6 @@ def pi_half(x: float) -> float:
     return (_ln(t, _T2) + _ei_series(t) - _EI_T2) / (_ONE << 1)
 
 
-def _ord2(n: int) -> float:
-    if n == 0:
-        return math.inf
-    return (n & -n).bit_length() - 1
-
-
 def _ord_ell(n: int, ell: int) -> float:
     if n == 0:
         return math.inf
@@ -133,8 +127,8 @@ def local_factor_2(r: int, b: int, m: int) -> Fraction:
     if math.gcd(b, m) != 1:
         raise ValueError("b must be a unit modulo m")
     delta = r * r - 4 * b
-    d2 = _ord2(delta)
-    m2 = _ord2(m)
+    d2 = _ord_ell(delta, 2)
+    m2 = _ord_ell(m, 2)
     fin = math.isfinite(d2)
     u4 = (delta >> int(d2)) % 4 if fin else None
     u8 = (delta >> int(d2)) % 8 if fin else None
@@ -221,7 +215,7 @@ def constant_product(field, r: int, L_max: int = 100_000) -> ConstantEstimate:
     for ell in factorize_slow(m):
         keep &= primes != ell
     ell = primes[keep].astype(np.float64)
-    div_r = (r % primes[keep].astype(np.int64)) == 0 if r != 0 else np.ones(keep.sum(), dtype=bool)
+    div_r = (r % primes[keep].astype(np.int64)) == 0
     generic = ell * (ell * ell - ell - 1) / ((ell + 1) * (ell - 1) ** 2)
     trace_div = ell * ell / (ell * ell - 1)
     factors = np.where(div_r, trace_div, generic)

@@ -140,7 +140,7 @@ def test_hurwitz_prime_sum_rejects_tiny_x():
 
 
 def test_hurwitz_sum_report_matches_plain_fraction_sum():
-    # the pairwise merge and its integer division against Fraction arithmetic
+    # the certified fixed-point prefix and its rounding against Fraction arithmetic
     for name in ("Q", "Q_i", "Q_zeta5"):
         field = parse_field(name)
         for r in (0, 1, -3):
@@ -158,6 +158,47 @@ def test_hurwitz_sum_report_matches_plain_fraction_sum():
                 constant=constant_provenance(constant),
             )
             assert rep.body_json() == want.body_json(), (name, r)
+
+
+def _hurwitz_grid_bodies():
+    return [
+        hurwitz_sum_report(parse_field(name), r, 4000, checkpoints=(7, 1000, 2777)).body_json()
+        for name in ("Q", "Q_i", "Q_zeta5")
+        for r in (0, 1, -3)
+    ]
+
+
+def test_hurwitz_sum_fallback_rows_equal_certified_rows(monkeypatch):
+    # with no fraction bits every row that holds a prime fails the certificate,
+    # so the exact Fraction fallback must reproduce the default bodies
+    want = _hurwitz_grid_bodies()
+    calls = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            calls.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(experiments, "_SUM_BITS", 0)
+    monkeypatch.setattr(experiments, "Fraction", Counted)
+    assert _hurwitz_grid_bodies() == want
+    # each row sums its whole prefix in the fallback, one Fraction per prime
+    prefixes = 0
+    for name in ("Q", "Q_i", "Q_zeta5"):
+        for r in (0, 1, -3):
+            ps = admissible_primes(parse_field(name), 4000, r)
+            prefixes += sum(p <= xc for p in ps for xc in (7, 1000, 2777, 4000))
+    assert len(calls) == prefixes
+
+
+def test_hurwitz_sum_certificate_holds_at_default_bits(monkeypatch):
+    # at the default precision the fixed-point prefix certifies every row
+    def refuse(*args):
+        raise AssertionError("Fraction fallback taken")
+
+    want = _hurwitz_grid_bodies()
+    monkeypatch.setattr(experiments, "Fraction", refuse)
+    assert _hurwitz_grid_bodies() == want
 
 
 def test_weighted_L_average_symmetric_in_trace_sign():
