@@ -556,8 +556,8 @@ def constant_report(field, r: int, method: str = "both", k_max: int = 200, n_max
             prod = constant_product(field, r, l_max)
         prov["product"] = constant_provenance(prod)
     if method in ("sum", "both"):
-        with phase(metadata, "sum"):
-            series = constant_sum(field, r, k_max, n_max)
+        with phase(metadata, "sum") as counters:
+            series = constant_sum(field, r, k_max, n_max, counters)
         prov["sum"] = constant_provenance(series)
     if method == "both":
         rows = [make_row(n_max, series.value, prod.value)]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -231,22 +232,26 @@ def constant_product(field, r: int, L_max: int = 100_000) -> ConstantEstimate:
 
 
 _KRON2_TABLE = np.array(_KRON2, dtype=np.int64)  # (a|2) by a mod 8
+_ENUM_CELLS = 1 << 17  # residues a (or units b) times k in one block of _class_values
 
 
-def _c_prime_power(k: int, p: int, e: int, r: int, b: int, m: int) -> int:
-    """c(k, p^e, r, b, m): the sum of (a|p^e) over the a mod 4 p^e with a = 0, 1
-    mod 4 whose shifted value r^2 - a k^2 has gcd exactly 4 with 4 p^e k^2 and
-    hits 4b modulo gcd(4m, 4 p^e k^2), vectorised over a."""
+def _class_values(r: int, m: int, p: int, e: int, ks: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """c(k, p^e, r, b, m) for k in ks (rows) and b in units (columns): the sum of (a|p)^e
+    ((a|2)^e at p = 2) over the a mod 4 p^e, a = 0, 1 mod 4, where x = r^2 - a k^2 has gcd 4 with
+    4 p^e k^2 (x/4 is prime to 2 if 2 | p^e k^2, to p if e > 0, and to each odd l | k, where
+    x = r^2 mod l) and x = 4b mod 4 gcd(m, p^e k^2).  One histogram of x/4 mod that gcd holds
+    every b; its float64 bins add at most 2 p^e terms of -1, 0 or 1, so they are exact."""
     q = p**e
-    k2 = k * k
-    a = np.arange(4 * q, dtype=np.int64)
-    a = a[a % 4 < 2]
+    a = np.flatnonzero(np.arange(4 * q) % 4 < 2)  # a = 0, 1 mod 4
+    k2 = ks[:, None] ** 2
     x = r * r - a * k2
-    a = a[(np.gcd(x, 4 * q * k2) == 4) & ((x - 4 * b) % (4 * math.gcd(m, q * k2)) == 0)]
-    if p == 2:
-        return int((_KRON2_TABLE[a % 8] ** e).sum())
-    # int8 Legendre values; sum() accumulates them in the platform integer
-    return int((quadratic_character(p)[a % p] ** e).sum())
+    y, g = x // 4, np.gcd(m, q * k2)
+    odd_ok = np.gcd(r, ks // (ks & -ks))[:, None] == 1  # no odd l | k divides r
+    valid = (x % 4 == 0) & ((y % 2 == 1) | (q * k2 % 2 == 1)) & ((y % p != 0) | (e == 0)) & odd_ok
+    w = (_KRON2_TABLE[a % 8] if p == 2 else quadratic_character(p)[a % p]) ** e
+    row, span = np.arange(len(ks))[:, None], int(g.max())
+    hist = np.bincount((row * span + y % g)[valid], np.broadcast_to(w, x.shape)[valid], len(ks) * span)
+    return hist.astype(np.int64).reshape(len(ks), span)[row, units % g]
 
 
 def _generic_ratio(p, e, r, k=1):
@@ -262,29 +267,12 @@ def _generic_ratio(p, e, r, k=1):
     return p ** (e - 1) * ((1 - e % 2) * (p - 1) - miss)
 
 
-def _c_by_period(k: int, p: int, r: int, b: int, m: int):
-    """e -> c(k, p^e, r, b, m), enumerated for e <= e0 + 1 with e0 = max(1, v_p(m)),
-    and from c(k, p^(e+2)) = p^2 c(k, p^e) above that.
-
-    Write x = r^2 - a k^2.  The summand of c(k, p^e) is [4 | x] [no prime of
-    p^e k^2 divides x/4] [x = 4b mod 4 gcd(m, p^e k^2)] w(a)^e, with w(a) the
-    weight (a|p), or (a|2) when p = 2.  For e >= 1 the primes of p^e k^2 are
-    fixed, and for e >= v_p(m) so is gcd(m, p^e k^2).  An odd prime l != p of
-    k sees x = r^2 mod l whatever a is, and the part of gcd(m, .) prime to p
-    divides k^2, so a k^2 vanishes modulo it.  For e >= e0 the summand is thus
-    one function of a, periodic mod 4 p^e0 (mod 2^(e0+2) when p = 2), times
-    w(a)^e; the 4 p^e residues are 4 p^e / period copies of one period, and
-    the sum at e + 2 is p^2 times the sum at e.
-    """
-    e0 = max(1, int(_ord_ell(m, p)))
-    memo: dict[int, int] = {}
-
-    def local(e: int) -> int:
-        if e not in memo:
-            memo[e] = _c_prime_power(k, p, e, r, b, m) if e <= e0 + 1 else p * p * local(e - 2)
-        return memo[e]
-
-    return local
+def _stepped(head: list, p: int, e_hi: int) -> list:
+    """c(k, p^e) for e <= e_hi: the enumerated head, then c(k, p^(e+2)) = p^2 c(k, p^e)."""
+    out = list(head)
+    while len(out) <= e_hi:
+        out.append(p * p * out[-2])
+    return out
 
 
 def _put_prime(f: np.ndarray, p: int, local) -> None:
@@ -329,55 +317,67 @@ def _generic_table(r: int, n_max: int) -> np.ndarray:
     return g[odd]
 
 
-def _row_sums(r: int, m: int, units, k_max: int, n_max: int) -> dict[tuple[int, int], float]:
-    """The inner n-sums of the series: row (b, k) is sum over n <= n_max of c(k, n) / D(n).
+def _row_sums(r: int, m: int, units, k_max: int, n_max: int, counters: dict | None = None) -> dict[tuple[int, int], float]:
+    """Row (b, k) of the series: the math.fsum over n <= n_max of the exact c(k, n) / D(n).
 
-    D(n) = n k phi(m) phi(n k^2) / phi(gcd(n k^2, m)).  Both c(k, n) / c(k, 1)
-    and D(n) / D(1) are multiplicative in n.  A row with c(k, 1) = 0 is zero,
-    and a k with no nonzero row (every even k for odd r) builds no D(n).  The
-    exact c(k, n) is c(k, 2^v_2(n)) (c(k, 1) for odd n) times _generic_table at
-    the odd part of n, reset at the odd primes of k (_generic_ratio, miss = 0)
-    and of m (_c_by_period, which enumerates only there and at p = 2, for
-    e <= max(1, v_p(m)) + 1).  Terms are exact int / int quotients summed by
-    math.fsum.  D(n) <= N_max^2 K_max^3 phi(m) must fit in int64; that is
-    checked before any table is built.
-    """
+    c(k, n) is c(k, 2^v_2(n)) times _generic_table at the odd part of n, reset at the odd primes of k
+    (_generic_ratio, miss = 0) and of m.  At 2 and the odd p | m, c(k, p^e) is enumerated for e <=
+    max(1, v_p(m)) + 1 (_class_values) and _stepped above.  Those values are all a row reads of b, so
+    they key it; each distinct key of a k is summed once, and a k whose keys all have c(k, 1) = 0
+    builds no D(n).  D(n) <= N_max^2 K_max^3 phi(m) must fit in int64, checked before any table is
+    built.  counters receives rows, distinct_rows, enumerations."""
+    m_primes = factorize_slow(m)
     if r * r + 4 * n_max * k_max**2 >= 2**63:
         raise OverflowError("r^2 - a k^2 with a < 4 N_max must fit in int64")
-    if n_max**2 * k_max**3 * phi_from_factors(factorize_slow(m)) >= 2**63:
+    if n_max**2 * k_max**3 * phi_from_factors(m_primes) >= 2**63:
         raise OverflowError("D(n) = n k phi(m) phi(n k^2) / phi(gcd(n k^2, m)) must fit in int64")
     phi, odd, v2, _ = _tables(n_max)
     generic = _generic_table(r, n_max)
-    odd, v2, e_top = odd[1:], v2[1:], int(v2.max())
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    phi_of = phi_sieve(m)
-    rows = {}
-    for k in range(1, k_max + 1):
-        c1 = {b: _c_prime_power(k, 2, 0, r, b, m) for b in units}
-        rows.update(((b, k), 0.0) for b in units)
-        if not any(c1.values()):
-            continue
-        k2 = k * k
-        phi_nk2 = phi[1:] * k2
-        primes_k = factorize_slow(k)
-        for ell in primes_k:
-            away = n % ell != 0
-            phi_nk2[away] = phi_nk2[away] // ell * (ell - 1)
-        denom = n * k * (phi_of[m] * phi_nk2 // phi_of[np.gcd(n * k2, m)])
-        for b in filter(c1.get, units):
-            coef = generic.copy()
-            for p in {p for p in [*primes_k, *factorize_slow(m)] if p > 2}:
-                if m % p:
-                    _put_prime(coef, p, lambda e: _generic_ratio(p, e, r, k))
-                else:
-                    c_p = _c_by_period(k, p, r, b, m)
-                    _put_prime(coef, p, lambda e: c_p(e) // c1[b])
-            t = np.array([c1[b], *map(_c_by_period(k, 2, r, b, m), range(1, e_top + 1))], dtype=np.int64)
-            rows[b, k] = math.fsum((coef[odd] * t[v2] / denom).tolist())
+    odd, v2, n_phi = odd[1:], v2[1:], np.arange(1, n_max + 1, dtype=np.int64) * phi[1:]
+    # p = 2 and the odd p | m up to n_max: the top e with p^e <= n_max, and the enumerated (p, e)
+    e_max = {p: max(e for e in range(64) if p**e <= n_max) for p in sorted({2, *m_primes}) if p == 2 or p <= n_max}
+    enumerated = [(p, e) for p, top in e_max.items() for e in range(min(max(1, m_primes.get(p, 0)) + 1, top) + 1)]
+    block = max(1, _ENUM_CELLS // max(2 * max(p**e for p, e in enumerated), len(units)))
+    rows, summed = {}, 0
+    for lo in range(1, k_max + 1, block):
+        ks = np.arange(lo, min(lo + block, k_max + 1), dtype=np.int64)
+        cols = [_class_values(r, m, p, e, ks, np.array(units, dtype=np.int64)) for p, e in enumerated]
+        for k, keys in zip(ks.tolist(), np.stack(cols, axis=-1).tolist()):
+            sums = dict.fromkeys(keys := list(map(tuple, keys)), 0.0)
+            live = [key for key in sums if key[0]]  # key[0] = c(k, 1)
+            if live:
+                k_primes = factorize_slow(k)
+                denom = _denominators(n_phi, k, k_primes, m_primes)
+                for key in live:
+                    local = {p: _stepped([c for (q, _), c in zip(enumerated, key) if q == p], p, top) for p, top in e_max.items()}
+                    coef = generic.copy()
+                    for p in {*k_primes, *local} - {2}:  # an odd p | m above n_max puts nothing
+                        _put_prime(coef, p, lambda e: local[p][e] // key[0] if p in local else _generic_ratio(p, e, r, k))
+                    sums[key] = math.fsum((coef[odd] * np.array(local[2])[v2] / denom).tolist())
+            summed += len(live)
+            rows.update(zip(zip(units, repeat(k)), map(sums.__getitem__, keys)))
+    if counters is not None:
+        counters.update(rows=len(rows), distinct_rows=summed, enumerations=len(enumerated) * len(range(1, k_max + 1, block)))
     return rows
 
 
-def constant_sum(field, r: int, K_max: int = 200, N_max: int = 5000) -> ConstantEstimate:
+def _denominators(n_phi: np.ndarray, k: int, k_primes: dict, m_primes: dict) -> np.ndarray:
+    """D(n) = n k phi(m) phi(n k^2) / phi(gcd(n k^2, m)) for n <= N_max from n_phi = n phi(n): it is
+    n phi(n) k^2 phi(k) times l / (l - 1) at each l | k, n and, at each l | m, l^max(0, v - 2w - j) and
+    (l - 1) / l if l divides neither n nor k (v, w, j: the orders of l in m, k, n).  Each division is exact."""
+    d = n_phi * (k * k * phi_from_factors(k_primes))
+    for ell, v in m_primes.items():
+        top, in_k = max(0, v - 2 * k_primes.get(ell, 0)), ell in k_primes
+        d *= ell**top if in_k else ell ** (top - 1) * (ell - 1)
+        for j in range(1, top + 1):
+            d[ell**j - 1 :: ell**j] //= ell - 1 if j == 1 and not in_k else ell
+    for ell in k_primes:
+        d[ell - 1 :: ell] //= ell - 1
+        d[ell - 1 :: ell] *= ell
+    return d
+
+
+def constant_sum(field, r: int, K_max: int = 200, N_max: int = 5000, counters: dict | None = None) -> ConstantEstimate:
     """Triple-sum evaluation truncated at K_max, N_max.
 
     Each (b, k) row is a sum of exact rationals in compensated summation, so
@@ -386,7 +386,7 @@ def constant_sum(field, r: int, K_max: int = 200, N_max: int = 5000) -> Constant
     field = _as_field(field)
     if K_max < 16 or N_max < 16:
         raise ValueError("truncations must be at least 16")
-    rows = _row_sums(r, field.m_K, sorted(field.G_mK), K_max, N_max)
+    rows = _row_sums(r, field.m_K, sorted(field.G_mK), K_max, N_max, counters)
     total = math.fsum(rows.values())
     value = 2 * field.n_A / math.pi * total
     scale = 2 * field.n_A / math.pi * max(len(field.G_mK), 1)

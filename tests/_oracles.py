@@ -13,8 +13,11 @@ trace_table_gather (every trace over F_p by the same gather, where the
 package multiplies shifted log-coordinate rows in float32),
 factor_patterns_ddf (mod-p factor degrees by one distinct-degree
 factorisation per prime, where the package composes batched Frobenius
-images), pi_half_mpmath (li differences from mpmath, where the package
-sums a fixed-point series) and generic_table_by_primes (the series' generic
+images), c_prime_power and c_by_period (c(k, p^e) enumerated for one k and
+one b at a time, and stepped by p^2 above e0 + 1 one e at a time, where the
+package enumerates a block of k for every class of b at once),
+pi_half_mpmath (li differences from mpmath, where the package sums a
+fixed-point series) and generic_table_by_primes (the series' generic
 coefficient table one prime at a time, where the package fills it in rounds
 from the least-prime split of n).
 """
@@ -30,7 +33,7 @@ import numpy as np
 from ltavg import gfpoly
 from ltavg.classnumber import is_valid_discriminant, kronecker, unit_count_w
 from ltavg.curves import quadratic_character
-from ltavg.ltconstant import _generic_ratio, _put_prime
+from ltavg.ltconstant import _KRON2_TABLE, _generic_ratio, _ord_ell, _put_prime
 from ltavg.primes import factorize_slow, is_prime, sieve_primes
 
 
@@ -222,6 +225,47 @@ def c_coefficient(k, n, r, b, m):
             continue
         total += kronecker(a, n)
     return total
+
+
+def c_prime_power(k, p, e, r, b, m):
+    """c(k, p^e, r, b, m): the sum of (a|p^e) over the a mod 4 p^e with a = 0, 1
+    mod 4 whose shifted value r^2 - a k^2 has gcd exactly 4 with 4 p^e k^2 and
+    hits 4b modulo gcd(4m, 4 p^e k^2), vectorised over a."""
+    q = p**e
+    k2 = k * k
+    a = np.arange(4 * q, dtype=np.int64)
+    a = a[a % 4 < 2]
+    x = r * r - a * k2
+    a = a[(np.gcd(x, 4 * q * k2) == 4) & ((x - 4 * b) % (4 * math.gcd(m, q * k2)) == 0)]
+    if p == 2:
+        return int((_KRON2_TABLE[a % 8] ** e).sum())
+    # int8 Legendre values; sum() accumulates them in the platform integer
+    return int((quadratic_character(p)[a % p] ** e).sum())
+
+
+def c_by_period(k, p, r, b, m):
+    """e -> c(k, p^e, r, b, m), enumerated for e <= e0 + 1 with e0 = max(1, v_p(m)),
+    and from c(k, p^(e+2)) = p^2 c(k, p^e) above that.
+
+    Write x = r^2 - a k^2.  The summand of c(k, p^e) is [4 | x] [no prime of
+    p^e k^2 divides x/4] [x = 4b mod 4 gcd(m, p^e k^2)] w(a)^e, with w(a) the
+    weight (a|p), or (a|2) when p = 2.  For e >= 1 the primes of p^e k^2 are
+    fixed, and for e >= v_p(m) so is gcd(m, p^e k^2).  An odd prime l != p of
+    k sees x = r^2 mod l whatever a is, and the part of gcd(m, .) prime to p
+    divides k^2, so a k^2 vanishes modulo it.  For e >= e0 the summand is thus
+    one function of a, periodic mod 4 p^e0 (mod 2^(e0+2) when p = 2), times
+    w(a)^e; the 4 p^e residues are 4 p^e / period copies of one period, and
+    the sum at e + 2 is p^2 times the sum at e.
+    """
+    e0 = max(1, int(_ord_ell(m, p)))
+    memo = {}
+
+    def local(e):
+        if e not in memo:
+            memo[e] = c_prime_power(k, p, e, r, b, m) if e <= e0 + 1 else p * p * local(e - 2)
+        return memo[e]
+
+    return local
 
 
 def generic_table_by_primes(r, n_max):

@@ -660,6 +660,11 @@ def test_constant_report_phases_stay_out_of_the_body():
         assert all(ph["seconds"] >= 0 for ph in rep.metadata["phases"].values())
         assert "phases" in json.loads(rep.to_json())["metadata"]
         assert "phases" not in rep.body_json() and "peak_rss" not in rep.body_json()
+        # the series engine's work counters: one row per (b, k), one sum per live k on Q
+        assert rep.metadata["phases"]["sum"]["rows"] == 20
+        assert rep.metadata["phases"]["sum"]["distinct_rows"] == 10
+        assert rep.metadata["phases"]["sum"]["enumerations"] > 0
+        assert "distinct_rows" not in rep.body_json() and "enumerations" not in rep.body_json()
     assert set(reps[0].metadata["phases"]) == {"product", "sum"}
     assert set(reps[2].metadata["phases"]) == {"sum"}
     assert reps[0].body_json() == reps[1].body_json()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import c_coefficient, generic_table_by_primes, pi_half_mpmath, pi_half_quad
+from _oracles import c_by_period, c_coefficient, c_prime_power, generic_table_by_primes, pi_half_mpmath, pi_half_quad
 from ltavg import (
     constant_product,
     constant_sum,
@@ -17,7 +17,7 @@ from ltavg import (
     pi_half,
 )
 from ltavg import ltconstant
-from ltavg.ltconstant import _c_by_period, _c_prime_power, _generic_ratio, _ord_ell, _row_sums
+from ltavg.ltconstant import _class_values, _generic_ratio, _ord_ell, _row_sums, _stepped
 from ltavg.primes import factorize_slow, phi_from_factors
 
 
@@ -140,42 +140,58 @@ def test_row_sums_match_enumeration():
 
 def test_c_prime_power_matches_enumeration():
     # p = 2 reads the (a|2) table, odd p the shared int8 Legendre table;
-    # either sum must stay an exact int
+    # either histogram must stay exact ints
     for p, e_max in ((2, 7), (3, 3), (5, 3), (7, 3), (11, 3)):
         for e in range(1, e_max + 1):
             if p**e > 400:
                 break
             for k, r, b, m in ((1, 1, 1, 1), (2, 0, 1, 3), (3, 3, 1, 4), (1, 2, 2, 5), (5, 1, 5, 12)):
-                got = _c_prime_power(k, p, e, r, b, m)
-                assert type(got) is int
-                assert got == c_coefficient(k, p**e, r, b, m), (k, p, e, r, b, m)
+                got = _class_values(r, m, p, e, np.array([k]), np.array([b]))
+                assert got.dtype == np.int64
+                assert got[0, 0] == c_prime_power(k, p, e, r, b, m) == c_coefficient(k, p**e, r, b, m), (k, p, e, r, b, m)
+    # one call for a block of k and every unit b: each class value is the enumeration's
+    for m in (1, 4, 5, 9, 12, 13, 16):
+        units = _units(m)
+        for p in sorted({2, *factorize_slow(m)}):
+            for e in range(max(1, _ord_ell(m, p)) + 2):
+                if 4 * p**e > 512:
+                    break
+                for r in (0, 1, -3):
+                    got = _class_values(r, m, p, e, np.arange(1, 13), np.array(units))
+                    for k in range(1, 13):
+                        for j, b in enumerate(units):
+                            assert got[k - 1, j] == c_coefficient(k, p**e, r, b, m), (m, p, e, r, k, b)
 
 
 def test_c_by_period_matches_enumeration():
     # the step c(k, p^(e+2)) = p^2 c(k, p^e) above e0 + 1, e0 = max(1, v_p(m)),
     # at p dividing m, k, r or none of them, at every e with 4 p^e <= 2^11
     for m in (1, 3, 4, 5, 8, 9, 12, 16, 27):
+        units = _units(m)
         for p in (2, 3, 5, 7):
             e_top = max(e for e in range(1, 10) if 4 * p**e <= 2**11)
             ks = sorted(set(range(1, 25)) | {p * p * j for j in (1, 2, 5, 7)})
-            for k in ks:
-                for r in (0, 1, -3, p, p * p):
-                    for b in _units(m):
-                        local = _c_by_period(k, p, r, b, m)
+            head_e = range(max(1, int(_ord_ell(m, p))) + 2)
+            for r in (0, 1, -3, p, p * p):
+                heads = np.stack([_class_values(r, m, p, e, np.array(ks), np.array(units)) for e in head_e], axis=-1)
+                for k, k_heads in zip(ks, heads.tolist()):
+                    for b, head in zip(units, k_heads):
+                        local = c_by_period(k, p, r, b, m)
+                        stepped = _stepped(head, p, e_top)
                         for e in range(1, e_top + 1):
-                            assert local(e) == _c_prime_power(k, p, e, r, b, m), (m, p, k, r, b, e)
+                            assert stepped[e] == local(e) == c_prime_power(k, p, e, r, b, m), (m, p, k, r, b, e)
 
 
 def test_enumeration_does_not_grow_with_n_max(monkeypatch):
     # every enumerated p-part stays at e <= max(1, v_p(m)) + 1 at N_max = 20000
     seen = {}
-    enumerate_ = ltconstant._c_prime_power
+    enumerate_ = ltconstant._class_values
 
-    def recording(k, p, e, r, b, m):
+    def recording(r, m, p, e, ks, units):
         seen[m, p] = max(seen.get((m, p), 0), e)
-        return enumerate_(k, p, e, r, b, m)
+        return enumerate_(r, m, p, e, ks, units)
 
-    monkeypatch.setattr(ltconstant, "_c_prime_power", recording)
+    monkeypatch.setattr(ltconstant, "_class_values", recording)
     for m in (1, 4, 16):
         _row_sums(1, m, _units(m), 60, 20000)
     for (m, p), e in seen.items():
@@ -207,10 +223,10 @@ def test_closed_form_at_odd_primes_of_k():
                 for m, b in ((1, 1), (4, 3), (8, 5), (3, 2), (5, 2)):
                     if m % p == 0:
                         continue
-                    c1 = _c_prime_power(k, 2, 0, r, b, m)
+                    c1 = _class_values(r, m, 2, 0, np.array([k]), np.array([b]))[0, 0]
                     for e in range(1, 5):
                         got = c1 * _generic_ratio(p, e, r, k)
-                        assert got == _c_prime_power(k, p, e, r, b, m), (p, k, r, m, b, e)
+                        assert got == _class_values(r, m, p, e, np.array([k]), np.array([b]))[0, 0], (p, k, r, m, b, e)
                         if p**e <= 125:
                             assert got == c_coefficient(k, p**e, r, b, m), (p, k, r, m, b, e)
 
@@ -225,13 +241,13 @@ def test_generic_table_matches_the_put_prime_build():
 def test_enumeration_only_at_two_and_the_odd_primes_of_m(monkeypatch):
     # the odd primes of k that do not divide m take the closed form
     seen = set()
-    enumerate_ = ltconstant._c_prime_power
+    enumerate_ = ltconstant._class_values
 
-    def recording(k, p, e, r, b, m):
+    def recording(r, m, p, e, ks, units):
         seen.add((m, p))
-        return enumerate_(k, p, e, r, b, m)
+        return enumerate_(r, m, p, e, ks, units)
 
-    monkeypatch.setattr(ltconstant, "_c_prime_power", recording)
+    monkeypatch.setattr(ltconstant, "_class_values", recording)
     for r, m in ((1, 1), (2, 1), (2, 5), (1, 15), (0, 12)):
         _row_sums(r, m, _units(m), 200, 300)
     assert seen == {(1, 2), (5, 2), (5, 5), (15, 2), (15, 3), (15, 5), (12, 2), (12, 3)}
@@ -317,3 +333,34 @@ def test_methods_agree_at_modest_truncations():
     s = constant_sum(Q, 1, K_max=100, N_max=1600)
     p = constant_product(Q, 1, L_max=3000)
     assert abs(s.value - p.value) / p.value < 0.01
+
+
+def test_row_keys_merge_only_equal_rows():
+    # at a prime m below N_max, b enters c(k, n) only at the multiples of m, so
+    # the units of one k share a few keys; each unit's row is still its own sum
+    for m in (13, 37):
+        for r in (1, 2):
+            counters = {}
+            rows = _row_sums(r, m, _units(m), 6, 80, counters)
+            assert counters["distinct_rows"] <= 3 * 6 < counters["rows"] == len(rows) == 6 * (m - 1)
+            for (b, k), value in rows.items():
+                assert value == _brute_row(k, r, b, m, 80), (r, m, b, k)
+    counters = {}
+    rows = _row_sums(1, 2017, _units(2017), 20, 5000, counters)
+    assert sorted(rows) == sorted((b, k) for b in _units(2017) for k in range(1, 21))
+    # ten live k (the odd ones), each with c(k, 2017) / c(k, 1) in {1, -1, 0}
+    assert counters["rows"] == 2016 * 20 and counters["distinct_rows"] <= 3 * 10
+
+
+def test_row_sums_memory_is_bounded_at_large_prime_powers():
+    # at m = 101 and N_max = 20000 the p = 101 enumeration reaches e = 2, 2 * 101^2
+    # residues a per k; one array over all 60 k would take 30 MiB at the peak
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        _row_sums(0, 101, _units(101), 60, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak / 2**20
