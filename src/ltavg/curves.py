@@ -5,7 +5,9 @@ at least 5.  Traces come from quadratic character sums: one curve over F_p
 by a character table, and trace tables over F_p and F_p[t]/(modulus) alike
 by one kernel in discrete-log coordinates, where each histogram is one of
 three rows shifted and chi(g^k) = (-1)^k; the number of models of each trace
-over F_q comes from the correlations of the same rows.
+over F_q comes from the correlations of the same rows, for a block of fields
+at once: one doubling pass builds the tables of every field, one pass their
+rows, one FFT their correlations and one bincount their counts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import gfpoly
-from .primes import factorize_slow, is_prime
+from .primes import factorize_slow, is_prime, sieve_primes
 
 # residue fields F_q must have q < FIELD_SIZE_BOUND elements: the float32 sums
 # of _trace_kernel are exact below it
@@ -77,24 +79,73 @@ def trace_mod_p(a: int, b: int, p: int) -> int:
     return -total
 
 
+def _field_tables(p: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int32 tables power[i, k] = g^k and log[i, g^k] = k, log[i, 0] = q - 1,
+    of a primitive element g of F_q, q = p^f, for each field p = p[i] of a
+    block, padded to the largest q: the powers of a smaller field run on past
+    q - 2.  Elements are base-p digit codes, and step[i] is the f x f matrix
+    of x -> g*x (row j: the digits of t^j g).  The powers double: the digits
+    of g^(m + k), k < m, are those of g^k times the matrix of g^m, which
+    squares to that of g^(2m); at f = 1 they are the elements themselves."""
+    n, f = step.shape[:2]
+    q = p**f
+    size = int(q.max()) - 1
+    pc = p.reshape(n, 1, 1)
+    pvec = pc ** np.arange(f)
+    power = np.ones((n, size), dtype=np.int32)
+    width, m = max(1, _BLOCK_CELLS // n), 1
+    while m < size:
+        for lo in range(0, min(m, size - m), width):
+            hi = min(lo + width, m, size - m)
+            if f == 1:
+                np.remainder(power[:, lo:hi] * step[:, 0], pc[:, 0], out=power[:, m + lo : m + hi], casting="unsafe")
+            else:
+                power[:, m + lo : m + hi] = ((power[:, lo:hi, None] // pvec % pc) @ step % pc @ pvec.transpose(0, 2, 1))[..., 0]
+        step = (step * step if f == 1 else step @ step) % pc
+        m *= 2
+    # the least k with g^k = x is written last; log[i, q] is q - 1 as well,
+    # so at f = 1 the code p reads as 0, and past q a smaller field's is unset
+    log = np.empty((n, size + 2), dtype=np.int32)
+    np.put(log, (power + np.arange(0, log.size, size + 2, dtype=np.int32)[:, None])[:, ::-1], np.arange(size - 1, -1, -1, dtype=np.int32))
+    log[:, 0] = log[np.arange(n), q] = q - 1
+    return power, log
+
+
+def _prime_tables(primes) -> tuple[np.ndarray, np.ndarray]:
+    """The _field_tables of the prime fields F_p, p in primes, each for its
+    least primitive root, found with one pow per prime factor of p - 1."""
+    cofactors = [[(p - 1) // q for q in factorize_slow(p - 1)] for p in primes]
+    g = [next(c for c in count(2) if all(pow(c, k, p) != 1 for k in ks)) for p, ks in zip(primes, cofactors)]
+    return _field_tables(np.array(primes, dtype=np.int64), np.array(g, dtype=np.int64).reshape(-1, 1, 1))
+
+
 def _discrete_log(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 tables power[k] = g^k, k < p - 1, and log[g^k] = k, log[0] = p - 1, for
-    the least primitive root g; power from the g^i and g^(s*j), i, j < s ~ sqrt(p)."""
+    """int32 tables power[k] = g^k, k < p - 1, and log[g^k] = k, log[0] = log[p] = p - 1,
+    as _field_tables gives them, for the least primitive root g; power from the
+    g^i and g^(s*j), i, j < s ~ sqrt(p), in Python ints, fewer calls than doubling."""
     cofactors = [(p - 1) // q for q in factorize_slow(p - 1)]
     g = next(c for c in range(2, p) if all(pow(c, k, p) != 1 for k in cofactors))
     s = isqrt(p - 2) + 1
     low = list(accumulate(repeat(g, s - 1), lambda v, r: v * r % p, initial=1))
     high = accumulate(repeat(low[-1] * g % p, (p - 2) // s), lambda v, r: v * r % p, initial=1)
-    power, log = np.empty(p - 1, dtype=np.int32), np.empty(p, dtype=np.int32)
+    power, log = np.empty(p - 1, dtype=np.int32), np.empty(p + 1, dtype=np.int32)
     np.remainder(np.multiply.outer(np.array(list(high)), np.array(low)).ravel()[: p - 1], p, out=power)
-    log[power], log[0] = np.arange(p - 1, dtype=np.int32), p - 1
+    log[power], log[0], log[p] = np.arange(p - 1, dtype=np.int32), p - 1, p - 1
     return power, log
 
 
 # entries per block of the temporaries that grow with the field: x values in
 # trace_mod_p (8 MB of int64), cells of each side's gather in _trace_kernel
-# (4 MB of float32), and powers in SmallField (8 MB of int64 per digit)
+# (4 MB of float32), and powers in _field_tables (8 MB of int64 per digit)
 _BLOCK_CELLS = 1 << 20
+
+# the 5-smooth lengths up to 2^25, each 2^a 3^b 5^c once, pocketfft's
+# fastest: any FFT length L >= 2H - 1 gives the same correlations in _block_counts
+_FFT_LENGTHS = np.array(sorted(t << a for t in (3**b * 5**c for b in range(16) for c in range(11)) for a in range(((1 << 25) // t).bit_length())))
+
+# float64 cells of the padded FFT rows of a block of trace_count_blocks, 3 of
+# length L per prime (128 KB); a block of one prime may exceed it
+_COUNT_CELLS = 1 << 14
 
 
 def _log_rows(p: int, f: int, power: np.ndarray, log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,6 +176,36 @@ def _log_rows(p: int, f: int, power: np.ndarray, log: np.ndarray) -> tuple[np.nd
     rows[1 + (H & 1), (H // 2 + 2 * (H & 1)) % H] -= 1
     rows[1:, H:] = rows[1:, :H]
     return src, rows
+
+
+def _block_rows(p: np.ndarray, f: int, power: np.ndarray, log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of _log_rows over the fields F_q, q = p^f, of a block,
+    from their padded _field_tables, H = (q - 1)/2: S twice over, and on to
+    2 H_max, as the float32 (n, 2 H_max) array S, and B_1, B_g as the rows of
+    the int64 (n, 2, H_max) array B, 0 past H."""
+    n, size = power.shape
+    Hm, H = size // 2, (p**f - 1) // 2
+    k = np.arange(size, dtype=np.int32)
+    lanes = np.arange(n)[:, None]
+    # the Zech logs Z[k] = log(1 + g^k), where 1 + g^k adds 1 to the constant
+    # digit: at f > 1 a digit p wraps to 0
+    zech = power + 1
+    if f > 1:
+        zech -= (zech % p.astype(np.int32)[:, None] == 0) * p.astype(np.int32)[:, None]
+    zech = np.take(log, zech + np.arange(0, log.size, log.shape[1], dtype=np.int32)[:, None])
+    # S[j] = chi(1 + g^j) + chi(1 + g^(j + H)), chi(g^Z) = (-1)^Z, chi(0) = 0,
+    # and g^(j + H) = g^(j - H)
+    chi = 1 - 2 * (zech & 1) - (zech == 2 * H[:, None])
+    S = (chi + np.take(chi, k + np.where(k < Hm, 1, -1) * H[:, None] + lanes * size)).astype(np.float32)
+    # row d holds B_c, c = g^d: for x = g^(i + d), i < H, k = 2i + d, the
+    # histogram of log(x^3 + c x) = (k >> 1) + 2d + Z[k] mod H, less the x
+    # with x^2 = -c (k = H); the cells k >= 2H, and that one, go past the end
+    cell = zech + (k >> 1) + 2 * (k & 1)
+    cell %= H.astype(np.int32)[:, None]
+    cell += (k & 1) * Hm + 2 * Hm * lanes.astype(np.int32)
+    np.copyto(cell, 2 * n * Hm, where=k >= 2 * H[:, None])
+    cell[lanes[:, 0], H] = 2 * n * Hm
+    return S, np.bincount(cell.ravel(), minlength=2 * n * Hm + 1)[:-1].reshape(n, 2, Hm)
 
 
 def _trace_kernel(p: int, f: int, power: np.ndarray, log: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray):
@@ -214,10 +295,11 @@ def trace_grid(p: int):
     return got
 
 
-def _model_counts(p: int, f: int, power: np.ndarray, log: np.ndarray) -> np.ndarray:
+def _block_counts(p: np.ndarray, f: int, power: np.ndarray, log: np.ndarray) -> np.ndarray:
     """Number of nonsingular models y^2 = x^3 + a*x + b over F_q, q = p^f, of
-    each trace r at index r + R, R = isqrt(4q), from the tables _trace_kernel
-    takes; the counts sum to q(q - 1).
+    each trace r at index r + R, R = isqrt(4q), for each field p = p[i] of a
+    block, from their padded _field_tables; each field's counts sum to
+    q(q - 1).
 
     With a = g^(2t + d), c = g^d, b = g^e and w = chi(-1), the product cell of
     _trace_kernel is X_c[(3t - e) mod H], X_c[s] = sum_j B_c[j] S[(j + s) mod H]:
@@ -228,39 +310,62 @@ def _model_counts(p: int, f: int, power: np.ndarray, log: np.ndarray) -> np.ndar
     takes H pairs (t, e) of each parity of e, so each value v of N_c(0) + X_c
     is H models of trace -v and H of trace v.  The q - 1 singular pairs
     (-3u^2, 2u^3) among them read -sum_{x != u} chi(x + 2u) = chi(3u), H of
-    them 1 and H -1, and are taken off.  X comes from one float64 real FFT of
-    power-of-two length L >= 2H - 1 against S twice over, certified within 1/4
-    of integers, else ArithmeticError (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 24, bounds the rounding error a priori).
+    them 1 and H -1, and are taken off.  B_0 is m at the multiples of m, m = 3
+    if 3 | H, else 1, so X_0[s] is m times the sum of the S[k], k < H,
+    k = s mod m.  X_1 and X_g come from one float64 real FFT of the block, of
+    5-smooth length L >= 2H - 1 for the largest H, against S on 2H - 1,
+    certified within 1/4 of integers, else ArithmeticError (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 24, bounds the rounding error
+    a priori).  The counts of the block are one bincount of the X cells,
+    field i at an offset, the cells s >= H of a smaller field dropped, and
+    one of the few values that the other terms take.
     """
-    H = len(power) // 2
-    R = isqrt(8 * H + 4)
+    n = len(p)
+    H = (p**f - 1) // 2
+    Hm = power.shape[1] // 2
+    R = np.array([isqrt(8 * h + 4) for h in H.tolist()])
     w = 1 - 2 * (H & 1)
-    src, rows = _log_rows(p, f, power, log)
-    # B_0, B_1, B_g and S twice over, zero-padded to L, through one real FFT
-    L = 1 << (2 * H - 2).bit_length()
-    pad = np.zeros((4, L))
-    pad[:3, :H] = rows[:, :H]
-    pad[3, : 2 * H] = src[: 2 * H]
-    sign = 1 - 2 * (np.arange(H) & 1)
-    V = (1 + w) * (pad[1:3, :H] @ sign)
+    S, B = _block_rows(p, f, power, log)
+    # B_1, B_g and S on 2H - 1, zero-padded
+    L = int(_FFT_LENGTHS[np.searchsorted(_FFT_LENGTHS, 2 * Hm - 1)])
+    pad = np.zeros((n, 3, L))
+    pad[:, :2, :Hm] = B
+    pad[:, 2, : 2 * Hm - 1] = S[:, :-1]
     spectrum = np.fft.rfft(pad)
     del pad
-    np.conjugate(spectrum[:3], out=spectrum[:3])
-    spectrum[:3] *= spectrum[3]
-    c = np.fft.irfft(spectrum[:3], L)[:, :H]
+    spectrum[:, :2] = np.conjugate(spectrum[:, :2]) * spectrum[:, 2:]
+    c = np.fft.irfft(spectrum[:, :2], L)[..., :Hm]
     X = np.rint(c)
     if np.abs(c - X).max() >= 0.25:
-        raise ArithmeticError(f"FFT character sums over F_{p ** f} are not certified integers")
-    X = X.astype(np.int64) + [[1], [2 + w], [2 - w]]  # 1 + X_0, then N_c(0) + X_c
-    # each v in h is H models at v and H at -v; by e -> -e, which keeps the
-    # parity of e, the a = 0 traces are -(-1)^e (1 + X_0[e]) for e < H and w
-    # times those for e >= H, whence k and k[::w]; then the b = 0 traces
-    h = np.bincount(R + X[1:].ravel(), minlength=2 * R + 1)
-    k = np.bincount(R - sign * X[0], minlength=2 * R + 1)
-    counts = H * (h + h[::-1]) + k + k[::w] + np.bincount(R - np.outer(V, sign).ravel().astype(np.int64), minlength=2 * R + 1)
-    counts[[R - 1, R + 1]] -= H
+        raise ArithmeticError(f"FFT character sums over F_q, q in {(p**f).tolist()}, are not certified integers")
+    # each v = N_c(0) + X_c is H models at v and H at -v: the histogram of
+    # v and -v, trace 0 at index R of each field, and the cells past H in one
+    # bin past the end
+    past = np.arange(Hm) >= H[:, None]
+    bins = 2 * R + 1
+    zero = np.cumsum(bins) - R - 1
+    v = X.astype(np.int32) + (2 + np.outer(w, [1, -1]))[..., None]
+    cells = np.concatenate([v, -v], axis=1) + zero[:, None, None].astype(np.int32)
+    np.copyto(cells, bins.sum(), where=past[:, None])
+    counts = np.repeat(H, bins) * np.bincount(cells.ravel(), minlength=bins.sum() + 1)[:-1]
+    # X_0[s] = m sum_{k < H, k = s mod m} S[k], and K[s] = (-1)^s (1 + X_0[s])
+    # has period 6: by e -> -e, which keeps the parity of e, the a = 0 traces
+    # are -K[e] for e < H and -w K[e] for e >= H, (H - s + 5) // 6 each at
+    # s < 6.  The b = 0 traces are -V_c (-1)^t: ceil(H/2) at -V_c and
+    # floor(H/2) at V_c.  And the singular pairs, H at 1 and H at -1, are off.
+    T = np.bincount((np.arange(Hm) % 3 + 3 * np.arange(n)[:, None]).ravel(), np.where(past, 0, S[:, :Hm]).ravel(), 3 * n).reshape(n, 3)
+    s = np.arange(6)
+    K = (1 - 2 * (s & 1)) * (1 + np.where(H[:, None] % 3, T.sum(1, keepdims=True), 3 * T)[:, s % 3])
+    V = (1 + w)[:, None] * (B @ (1 - 2 * (np.arange(Hm) & 1)))
+    traces = np.concatenate([-K, -w[:, None] * K, -V, V, np.ones((n, 1)) * [-1, 1]], axis=1)
+    models = np.concatenate([np.tile((H[:, None] - s + 5) // 6, 2), np.stack([(H + 1) // 2] * 2 + [H // 2] * 2 + [-H] * 2, axis=1)], axis=1)
+    counts += np.bincount((zero[:, None] + traces).astype(np.int64).ravel(), models.ravel(), bins.sum()).astype(np.int64)
     return counts
+
+
+def _model_counts(p: int, f: int, power: np.ndarray, log: np.ndarray) -> np.ndarray:
+    """The _block_counts of the one field F_q, q = p^f, from its tables."""
+    return _block_counts(np.array([p]), f, power[None], log[None])
 
 
 def trace_counts(p: int) -> np.ndarray:
@@ -268,7 +373,7 @@ def trace_counts(p: int) -> np.ndarray:
 
     counts[r + R], with R = isqrt(4p - 1), is the number of (a, b) in F_p^2
     with 4a^3 + 27b^2 != 0 whose curve has trace r; the counts sum to
-    p(p - 1).  They are _model_counts of the tables of _discrete_log, whose
+    p(p - 1).  They are the _block_counts of the one field F_p, whose
     R = isqrt(4p) is the same, as 4p is not a square: O(p log p) per prime.
     p >= 2^24, the bound of every table kernel, is refused before any table.
     """
@@ -276,7 +381,23 @@ def trace_counts(p: int) -> np.ndarray:
         raise ValueError("characteristic must be a prime greater than 3")
     if p >= FIELD_SIZE_BOUND:
         raise OverflowError(f"trace counts build tables of p = {p} entries; p must be below 2^24")
-    return _model_counts(p, 1, *_discrete_log(p))
+    return _block_counts(np.array([p]), 1, *_prime_tables([p]))
+
+
+def trace_count_blocks(p_max: int):
+    """trace_counts of every prime 5 <= p <= p_max, in ascending blocks: yields
+    (primes, counts), the trace_counts of the primes end to end.  A block
+    takes primes while its padded FFT rows stay within _COUNT_CELLS, so small
+    primes share one set of numpy calls; from p ~ 2^11 on a block holds one
+    prime.  p_max >= 2^24 is refused before any table is built."""
+    if p_max >= FIELD_SIZE_BOUND:
+        raise OverflowError(f"trace counts build tables of p = {p_max} entries; p must be below 2^24")
+    primes = sieve_primes(p_max).tolist()[2:]
+    while primes:
+        # 3 rows of FFT length L >= 2H - 1 = p - 2 per prime, the last the largest
+        n = next((n for n in range(1, len(primes)) if 3 * (n + 1) * _FFT_LENGTHS[np.searchsorted(_FFT_LENGTHS, primes[n] - 2)] > _COUNT_CELLS), len(primes))
+        block, primes = primes[:n], primes[n:]
+        yield block, _block_counts(np.array(block), 1, *_prime_tables(block))
 
 
 def isogeny_mass_oracle(p: int, r: int) -> Fraction:
@@ -328,9 +449,8 @@ class SmallField:
     coefficients of the residue polynomial, constant digit first.  power[k] =
     g^k, k < q - 1, and log[g^k] = k, log[0] = q - 1, are the int32 tables of
     the first primitive element g in index order from 2 (f = 1) or t (f > 1),
-    tested by one gfpoly.powmod per prime factor of q - 1.  The powers double:
-    the digits of g^(m + k), k < m, are those of g^k times the f x f matrix of
-    x -> g^m * x, which squares to that of g^(2m).  q is checked first.
+    tested by one gfpoly.powmod per prime factor of q - 1, from _field_tables
+    (log[q] = q - 1 too).  q is checked first.
     """
 
     def __init__(self, p: int, modulus):
@@ -355,16 +475,8 @@ class SmallField:
         # row i of the matrix of x -> g*x: the digits of t^i * g
         powers = np.array(gfpoly.power_digits(poly, 2 * f - 1, p), dtype=np.int64)
         step = np.array([sum(c * powers[i + j] for j, c in enumerate(g)) for i in range(f)]) % p
-        self.power = np.ones(q - 1, dtype=np.int32)
-        m = 1
-        while m < q - 1:
-            for lo in range(0, min(m, q - 1 - m), _BLOCK_CELLS):
-                block = self.power[lo : min(lo + _BLOCK_CELLS, m, q - 1 - m)]
-                self.power[m + lo : m + lo + len(block)] = (block[:, None] // pvec % p) @ step % p @ pvec
-            step = step @ step % p
-            m *= 2
-        self.log = np.empty(q, dtype=np.int32)
-        self.log[self.power], self.log[0] = np.arange(q - 1, dtype=np.int32), q - 1
+        power, log = _field_tables(np.array([p]), step[None])
+        self.power, self.log = power[0], log[0]
 
     def element_index(self, value) -> int:
         """Encode an element given as an int (constant) or coefficient list."""

@@ -502,13 +502,15 @@ def deuring_check(p_max: int) -> ExperimentReport:
     every trace in the Hasse range; mismatches are listed in the config.
 
     The mass of trace r is the number of trace-r models over F_p divided by
-    p - 1.  One trace_counts call per prime gives every r at once, read off
-    the correlations of the trace kernel's log-coordinate rows, so a prime
-    costs O(p log p).  The expected masses H(r^2 - 4p)/2 come from
-    one hurwitz_values call on every n <= 4 p_max, which the primes then read
-    as 4p - r^2, so mass and expected mass agree exactly when
-    12 * count = (p - 1) * 6H.  Raises ValueError for p_max < 5, where there
-    is no prime to check, and for p_max >= 2^24 before any table is built.
+    p - 1.  curves.trace_count_blocks gives every r of a block of primes at
+    once, read off the correlations of the trace kernel's log-coordinate rows
+    with one set of numpy calls per block, so a prime costs O(p log p) and
+    small primes share their fixed costs.  The expected masses H(r^2 - 4p)/2
+    come from one hurwitz_values call on every n <= 4 p_max, which the primes
+    then read as 4p - r^2, so mass and expected mass agree exactly when
+    12 * count = (p - 1) * 6H; a block is compared at once.  Raises ValueError
+    for p_max < 5, where there is no prime to check, and for p_max >= 2^24
+    before any table is built.
     """
     started = time.time()
     p_max = int(p_max)
@@ -519,16 +521,18 @@ def deuring_check(p_max: int) -> ExperimentReport:
     rows = []
     mismatches = []
     T = hurwitz_values(np.arange(4 * p_max + 1, dtype=np.int64))
-    for p in sieve_primes(p_max).tolist():
-        if p < 5:
-            continue
-        counts = curves.trace_counts(p)
-        r_max = isqrt(4 * p - 1)
-        r = np.arange(-r_max, r_max + 1)
+    for primes, counts in curves.trace_count_blocks(p_max):
+        # each prime's counts of r = -R..R end to end, R = isqrt(4p - 1)
+        R = np.array([isqrt(4 * p - 1) for p in primes])
+        start = np.cumsum(2 * R + 1) - 2 * R - 1
+        p = np.repeat(primes, 2 * R + 1)
+        r = np.arange(len(counts)) - np.repeat(start + R, 2 * R + 1)
         H6 = T[4 * p - r * r]
-        mismatches += [[p, t] for t in r[12 * counts != (p - 1) * H6].tolist()]
+        bad = 12 * counts != (p - 1) * H6
+        mismatches += np.stack([p[bad], r[bad]], axis=1).tolist()
         # int true division rounds correctly, as float(Fraction) does
-        rows.append(make_row(p, int(counts.sum()) / (p - 1), int(H6.sum()) / 12))
+        for q, total, expected in zip(primes, np.add.reduceat(counts, start).tolist(), np.add.reduceat(H6, start).tolist()):
+            rows.append(make_row(q, total / (q - 1), expected / 12))
     report = ExperimentReport(
         kind="deuring-check",
         config={"p_max": p_max, "mismatches": mismatches},

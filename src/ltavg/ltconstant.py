@@ -275,14 +275,18 @@ def _stepped(head: list, p: int, e_hi: int) -> list:
     return out
 
 
-def _put_prime(f: np.ndarray, p: int, local) -> None:
-    """Set f[p^e j] = f[j] * local(e) for every j prime to p and e >= 1."""
-    q, e = p, 1
-    while q < len(f):
-        j = np.arange(1, (len(f) - 1) // q + 1)
-        j = j[j % p != 0]
-        f[q * j] = f[j] * local(e)
-        q, e = q * p, e + 1
+def _put_prime(f: np.ndarray, p: int, local, index: dict) -> None:
+    """Set f[p^e j] = f[j] * local(e) for every j prime to p and e >= 1; index
+    holds the (p^e j, j) of each p, built on its first call for len(f)."""
+    if p not in index:
+        index[p], q = [], p
+        while q < len(f):
+            j = np.arange(1, (len(f) - 1) // q + 1)
+            j = j[j % p != 0]
+            index[p].append((q * j, j))
+            q *= p
+    for e, (at, j) in enumerate(index[p], 1):
+        f[at] = f[j] * local(e)
 
 
 # for the last N_max: phi(n), odd part of n, v_2(n), and odd n = p^v rest (p = spf(n)) in rounds of omega(n)
@@ -338,7 +342,7 @@ def _row_sums(r: int, m: int, units, k_max: int, n_max: int, counters: dict | No
     e_max = {p: max(e for e in range(64) if p**e <= n_max) for p in sorted({2, *m_primes}) if p == 2 or p <= n_max}
     enumerated = [(p, e) for p, top in e_max.items() for e in range(min(max(1, m_primes.get(p, 0)) + 1, top) + 1)]
     block = max(1, _ENUM_CELLS // max(2 * max(p**e for p, e in enumerated), len(units)))
-    rows, summed = {}, 0
+    rows, summed, index = {}, 0, {}
     for lo in range(1, k_max + 1, block):
         ks = np.arange(lo, min(lo + block, k_max + 1), dtype=np.int64)
         cols = [_class_values(r, m, p, e, ks, np.array(units, dtype=np.int64)) for p, e in enumerated]
@@ -352,7 +356,7 @@ def _row_sums(r: int, m: int, units, k_max: int, n_max: int, counters: dict | No
                     local = {p: _stepped([c for (q, _), c in zip(enumerated, key) if q == p], p, top) for p, top in e_max.items()}
                     coef = generic.copy()
                     for p in {*k_primes, *local} - {2}:  # an odd p | m above n_max puts nothing
-                        _put_prime(coef, p, lambda e: local[p][e] // key[0] if p in local else _generic_ratio(p, e, r, k))
+                        _put_prime(coef, p, lambda e: local[p][e] // key[0] if p in local else _generic_ratio(p, e, r, k), index)
                     sums[key] = math.fsum((coef[odd] * np.array(local[2])[v2] / denom).tolist())
             summed += len(live)
             rows.update(zip(zip(units, repeat(k)), map(sums.__getitem__, keys)))

@@ -273,7 +273,7 @@ def generic_table_by_primes(r, n_max):
     for 0 <= n <= n_max, put in by one _put_prime call per odd prime."""
     f = np.ones(n_max + 1, dtype=np.int64)
     for p in sieve_primes(n_max)[1:].tolist():
-        _put_prime(f, p, lambda e: _generic_ratio(p, e, r))
+        _put_prime(f, p, lambda e: _generic_ratio(p, e, r), {})
     return f
 
 

@@ -273,6 +273,23 @@ def test_model_counts_certify_integers(monkeypatch):
     F = curves.SmallField(7, (1, 0, 1))
     with pytest.raises(ArithmeticError):
         curves._model_counts(7, 2, F.power, F.log)
+    with pytest.raises(ArithmeticError):
+        next(curves.trace_count_blocks(300))
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 22])
+def test_trace_count_blocks_match_one_prime_calls(monkeypatch, budget):
+    # one prime per block, and all primes below 2000 in one block of mixed
+    # FFT lengths; then 5003 alone
+    monkeypatch.setattr(curves, "_COUNT_CELLS", budget)
+    primes = [p for p in sieve_primes(2000).tolist() if p >= 5]
+    blocks = list(curves.trace_count_blocks(2000))
+    assert [p for block, _ in blocks for p in block] == primes
+    assert len(blocks) == (len(primes) if budget == 1 else 1)
+    for block, counts in blocks:
+        assert np.array_equal(counts, np.concatenate([trace_counts(p) for p in block])), block
+    p, (block, counts) = 5003, list(curves.trace_count_blocks(5003))[-1]
+    assert block[-1] == p and np.array_equal(counts[-(2 * math.isqrt(4 * p - 1) + 1) :], trace_counts(p))
 
 
 def test_trace_counts_rejects_bad_characteristic():

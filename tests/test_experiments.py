@@ -556,19 +556,33 @@ def test_deuring_check_builds_no_trace_grid(monkeypatch):
     assert deuring_check(60).config["mismatches"] == []
 
 
+def test_deuring_check_memory_is_bounded():
+    # blocks of small primes keep their padded FFT rows near _COUNT_CELLS
+    deuring_check(300)
+    tracemalloc.start()
+    try:
+        deuring_check(300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_deuring_check_lists_each_mismatch(monkeypatch, capsys):
     # one model moved from trace -3 to trace 5 at p = 37 breaks those two
-    # masses; counts[r + R] with R = isqrt(4 * 37 - 1) = 12
-    honest = curves.trace_counts
+    # masses; a block holds the counts of its primes end to end, those of 37
+    # at r + R with R = isqrt(4 * 37 - 1) = 12
+    honest = curves.trace_count_blocks
 
-    def moved(p):
-        counts = honest(p)
-        if p == 37:
-            counts[-3 + 12] -= 1
-            counts[5 + 12] += 1
-        return counts
+    def moved(p_max):
+        for primes, counts in honest(p_max):
+            if 37 in primes:
+                at = sum(2 * math.isqrt(4 * p - 1) + 1 for p in primes[: primes.index(37)]) + 12
+                counts[at - 3] -= 1
+                counts[at + 5] += 1
+            yield primes, counts
 
-    monkeypatch.setattr(curves, "trace_counts", moved)
+    monkeypatch.setattr(curves, "trace_count_blocks", moved)
     assert deuring_check(60).config["mismatches"] == [[37, -3], [37, 5]]
     assert dispatch(["deuring-check", "--pmax", "60"]) == 1
     assert "2 mismatches found" in capsys.readouterr().err
